@@ -276,9 +276,11 @@ let serve tables sep domains max_sessions queue_depth data_dir wal_sync checkpoi
   in
   let eng = L.Engine.create ~config () in
   (* Durable boot: recover the store before any preloads — recovered
-     state is the base, --table files then layer on top (and get logged
-     like any other ingest below, via the service). All chatter goes to
-     stderr; stdout carries only protocol responses. *)
+     state is the base, --table files then layer on top. Preloads go
+     straight into the engine before the service exists, so they never
+     reach the WAL: only a later checkpoint captures them, and a restart
+     must pass the same --table flags. All chatter goes to stderr; stdout
+     carries only protocol responses. *)
   let store =
     match data_dir with
     | None -> None

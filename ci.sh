@@ -93,9 +93,10 @@ dune exec bin/lhfuzz.exe -- --semiring --seed 42 --count "${LH_FUZZ_COUNT:-1000}
 # exercise the count-only and streaming WCOJ leaves against the
 # engine-generic-leaf evaluator and the oracle (see lib/qgen/dataset.ml).
 dune exec bin/lhfuzz.exe -- --layout-stress --seed 42 --count "${LH_FUZZ_COUNT:-1000}" --quiet
-# Same seed with the plan cache disabled: every query replans from
-# scratch, so a cache-keying or invalidation bug that the cached leg
-# masks (stale plan reused across configs) shows up as a discrepancy.
+# Same seed with the plan cache disabled: every query takes the same
+# normalize -> plan -> bind path, but its plan is built per query and
+# never cached, so a cache-keying or invalidation bug that the cached
+# leg masks (stale plan reused across configs) shows up as a discrepancy.
 LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --seed 42 --count "${LH_FUZZ_COUNT:-1000}" --quiet
 # Concurrent-sessions leg: reader domains issue generated ad-hoc and
 # prepared queries through the epoch-pinned query service while a writer
@@ -114,6 +115,10 @@ LH_DOMAINS=4 dune exec bin/lhfuzz.exe -- --concurrent --seed 42 --count 30 --dom
 # unreachable at domains=1 and excused there).
 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts "${LH_FAULT_COUNT:-40}" --quiet
 LH_DOMAINS=4 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts "${LH_FAULT_COUNT:-40}" --quiet
+# The same sweep with the plan cache off: capacity 0 shares the cached
+# path's prepare and bind sites, so they must recover here too. Only
+# plan_cache.fill is unreachable (nothing is ever installed) and excused.
+LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts "${LH_FAULT_COUNT:-40}" --quiet
 # Kill-and-restart recovery leg: spawn real lhserve children, SIGKILL
 # them mid-ingest at WAL/checkpoint/manifest fault sites (including
 # torn-write variants and kills during recovery itself), restart on the

@@ -230,6 +230,3 @@ let execute ?(domains = 1) ?(budget = Lh_util.Budget.unlimited) kernel =
       let bt = Lh_blas.Dense.transpose b in
       let y = Lh_blas.Dense.gemv ~domains ~budget bt x in
       List.init (Array.length y) (fun j -> { Executor.gcodes = [| j |]; slots = [| y.(j) |] })
-
-let try_blas ?domains ?budget lq ~dense_of =
-  Option.map (execute ?domains ?budget) (match_kernel lq ~dense_of)

@@ -34,13 +34,3 @@ val execute : ?domains:int -> ?budget:Lh_util.Budget.t -> kernel -> Executor.row
     checkpointed inside the kernels so a runaway product raises the budget
     exception instead of running to completion. Fault site:
     ["blas.dispatch"] fires at dispatch, before any buffer extraction. *)
-
-val try_blas :
-  ?domains:int ->
-  ?budget:Lh_util.Budget.t ->
-  Logical.t ->
-  dense_of:(Lh_storage.Table.t -> dense_info option) ->
-  Executor.row list option
-(** [Some rows] when the query matched a dense kernel and was executed by
-    the BLAS substrate; rows follow the GROUP BY order and include every
-    output key (dense semantics: every group joins). *)

@@ -84,25 +84,65 @@ let () =
     | Error e -> Some (Printf.sprintf "Engine.Error: %s" (Error.to_string e))
     | _ -> None)
 
+
 let err e = raise (Error e)
 let semantic fmt = Printf.ksprintf (fun s -> err (Error.Semantic s)) fmt
 
-(* Budget exceptions deliberately pass through unclassified so callers
-   (e.g. the benchmark harness) can distinguish OOM from timeout; anything
-   else unrecognized is a bug and propagates raw. *)
+(* The engine's one failure classifier: the result-typed entry points, the
+   raising forms and the profile outcome all read it. Budget exceptions
+   stay distinct so the raising forms can re-raise them raw (callers tell
+   OOM from timeout; [test/test_fuzz.ml] holds the engine to that
+   contract); anything unrecognized is a bug and propagates raw. *)
+type failure = Typed of Error.t | Budget of exn
+
 let classify = function
-  | Lh_sql.Lexer.Lex_error m | Lh_sql.Parser.Parse_error m -> Some (Error.Parse_error m)
-  | Logical.Unknown_table n -> Some (Error.Unknown_table n)
-  | Logical.Unknown_column n -> Some (Error.Unknown_column n)
-  | Logical.Unsupported_query m | Compile.Unsupported m -> Some (Error.Unsupported m)
-  | Lh_fault.Fault.Injected site -> Some (Error.Fault_injected site)
-  | Failure m -> Some (Error.Semantic m)
+  | Error e -> Some (Typed e)
+  | (Lh_util.Budget.Out_of_memory_budget | Lh_util.Budget.Timed_out) as exn -> Some (Budget exn)
+  | Lh_sql.Lexer.Lex_error m | Lh_sql.Parser.Parse_error m -> Some (Typed (Error.Parse_error m))
+  | Logical.Unknown_table n -> Some (Typed (Error.Unknown_table n))
+  | Logical.Unknown_column n -> Some (Typed (Error.Unknown_column n))
+  | Logical.Unsupported_query m | Compile.Unsupported m -> Some (Typed (Error.Unsupported m))
+  | Lh_fault.Fault.Injected site -> Some (Typed (Error.Fault_injected site))
+  | Failure m -> Some (Typed (Error.Semantic m))
   | _ -> None
 
-let wrap f =
-  try f () with
-  | Error _ as e -> raise e
-  | exn -> ( match classify exn with Some e -> err e | None -> raise exn)
+let error_of_failure = function Typed e -> e | Budget _ -> Error.Budget_exceeded
+
+let error_of classified exn =
+  match classified with
+  | Some f -> error_of_failure f
+  | None -> Error.Semantic (Printexc.to_string exn)
+
+let error_of_exn exn = error_of (classify exn) exn
+
+let outcome_of_error = function
+  | Error.Budget_exceeded -> Profile.Budget_overrun
+  | Error.Fault_injected site -> Profile.Injected_fault site
+  | e -> Profile.Typed_error (Error.to_string e)
+
+let no_profile (_ : Profile.outcome) = ()
+
+(* The single failure boundary: runs [f], classifies a failure exactly
+   once and hands the outcome to [finish] (the in-flight profile, or
+   [no_profile]). *)
+let caught ~finish f =
+  match f () with
+  | v ->
+      finish Profile.Ok_result;
+      Ok v
+  | exception exn -> (
+      let c = classify exn in
+      finish (outcome_of_error (error_of c exn));
+      match c with Some c -> Stdlib.Error c | None -> raise exn)
+
+let unwrap = function
+  | Ok v -> v
+  | Stdlib.Error (Typed e) -> raise (Error e)
+  | Stdlib.Error (Budget exn) -> raise exn
+
+let to_result r = Result.map_error error_of_failure r
+
+let wrap f = unwrap (caught ~finish:no_profile f)
 
 (* ------------------------------------------------------------------ *)
 
@@ -112,8 +152,7 @@ and plan = {
   p_ast : Ast.query;  (** parameterized (normalized) AST *)
   p_nparams : int;
   mutable p_lq : Logical.t;  (** unbound: filters/owners may hold [Param]s *)
-  mutable p_ghd : Ghd.t option;  (** [None] on the scan path (no vertices) *)
-  mutable p_pnode : Executor.pnode option;
+  mutable p_wcoj : (Ghd.t * Executor.pnode) option;  (** [None] on the scan path *)
   mutable p_epoch : int;
 }
 
@@ -143,6 +182,12 @@ type t = {
 }
 
 type stmt = { s_eng : t; s_sql : string; s_plan : plan }
+
+(* What one call into the request path runs: a one-shot query (planned
+   through the cache) or a prepared statement with its parameter values
+   (already planned). *)
+type source = Sql of string | Ast of Ast.query
+type request = Query of source | Exec of stmt * Dtype.value list
 
 type path = Scan_path | Wcoj_path | Blas_path
 
@@ -269,18 +314,7 @@ let of_snapshot ?config snap =
     (Catalog.names snap.snap_cat);
   let cfg = Option.value config ~default:snap.snap_cfg in
   let cfg = { cfg with Config.budget = Lh_util.Budget.clone cfg.Config.budget } in
-  {
-    cat;
-    cfg;
-    dense_cache = Hashtbl.create 8;
-    trie_cache = Hashtbl.create 32;
-    plans = Hashtbl.create 16;
-    plan_tick = 0;
-    epoch = snap.snap_epoch;
-    last_prof = None;
-    prof_sink = None;
-    prof = None;
-  }
+  { (create ~config:cfg ()) with cat; epoch = snap.snap_epoch }
 
 let dense_info t (table : T.t) =
   let key = Printf.sprintf "%s/%d" table.T.name table.T.nrows in
@@ -300,30 +334,24 @@ let dense_info t (table : T.t) =
 let note_cache t tag = match t.prof with Some a -> a.a_cache <- tag | None -> ()
 let note_sql t sql = match t.prof with Some a -> a.a_sql <- sql | None -> ()
 
-let outcome_of_exn exn =
-  match exn with
-  | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget -> Profile.Budget_overrun
-  | Lh_fault.Fault.Injected site | Error (Error.Fault_injected site) ->
-      Profile.Injected_fault site
-  | Error Error.Budget_exceeded -> Profile.Budget_overrun
-  | Error e -> Profile.Typed_error (Error.to_string e)
-  | exn -> (
-      match classify exn with
-      | Some (Error.Fault_injected site) -> Profile.Injected_fault site
-      | Some e -> Profile.Typed_error (Error.to_string e)
-      | None -> Profile.Typed_error (Printexc.to_string exn))
-
 let phase_sums () =
   List.map (fun (n, h) -> (n, (Hist.snapshot h).Hist.ssum_ns)) profile_phases
 
-(* Wraps one query execution: when telemetry is enabled, assembles a
-   {!Profile.t} for every outcome (success, typed error, injected fault,
-   budget overrun), records the end-to-end latency histogram, and hands
-   the record to the slow-query sink when the query met the threshold.
-   When disabled the cost is the single [Obs.is_enabled] load. *)
-let profiled t ~sql f =
-  if not (Obs.is_enabled ()) then f ()
+(* Starts one request's profile and returns the function that finishes it
+   with the request's outcome: it records the end-to-end latency
+   histogram, assembles a {!Profile.t} for every outcome (success, typed
+   error, injected fault, budget overrun) and hands the record to the
+   slow-query sink when the query met the threshold. When telemetry is
+   disabled the cost is the single [Obs.is_enabled] load. *)
+let profile_start t req =
+  if not (Obs.is_enabled ()) then no_profile
   else begin
+    let sql =
+      match req with
+      | Query (Sql sql) -> sql
+      | Query (Ast ast) -> Format.asprintf "%a" Ast.pp_query ast
+      | Exec (s, _) -> s.s_sql
+    in
     let acc =
       {
         a_sql = sql;
@@ -339,7 +367,7 @@ let profiled t ~sql f =
     let pbefore = phase_sums () in
     let gc0 = (Gc.quick_stat ()).Gc.major_words in
     let t0 = Lh_util.Timing.monotonic_now () in
-    let finish outcome =
+    fun outcome ->
       let total = Lh_util.Timing.monotonic_now () -. t0 in
       Hist.observe_always h_query total;
       let phases =
@@ -379,14 +407,6 @@ let profiled t ~sql f =
           Obs.incr c_slowlog_lines;
           sink p
       | _ -> ()
-    in
-    match f () with
-    | v ->
-        finish Profile.Ok_result;
-        v
-    | exception exn ->
-        finish (outcome_of_exn exn);
-        raise exn
   end
 
 (* ------------------------------------------------------------------ *)
@@ -446,32 +466,14 @@ let finalize_rows (lq : Logical.t) (rows : Executor.row list) ~dict ~name =
   T.create ~name ~schema ~dict (Array.of_list columns)
 
 (* ------------------------------------------------------------------ *)
+(* Execution paths                                                      *)
 
 type decided =
   | Use_scan
-  | Use_blas
+  | Use_blas of Blas_bridge.kernel
   | Use_wcoj of Ghd.t * Executor.pnode
 
-let blas_eligible t lq ~span_name =
-  t.cfg.Config.blas_targeting && t.cfg.Config.attribute_elimination
-  && Option.is_some
-       (Obs.span span_name (fun () -> Blas_bridge.match_kernel lq ~dense_of:(dense_info t)))
-
-let decide t (lq : Logical.t) =
-  if Array.length lq.Logical.vertices = 0 then Use_scan
-  else if blas_eligible t lq ~span_name:"plan.blas_match" then Use_blas
-  else begin
-    let ghd =
-      Obs.span "plan.ghd" (fun () -> Ghd.plan lq ~heuristics:t.cfg.Config.ghd_heuristics)
-    in
-    let dense_of (e : Logical.edge) = Option.is_some (dense_info t e.Logical.table) in
-    let pnode =
-      Obs.span "plan.attr_order" (fun () -> Executor.physical t.cfg lq ~dense_of ghd)
-    in
-    Use_wcoj (ghd, pnode)
-  end
-
-let explain_of t lq decided =
+let explain_of lq decided =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
   Format.fprintf fmt "%a@." Logical.pp lq;
@@ -480,7 +482,7 @@ let explain_of t lq decided =
     | Use_scan ->
         Format.fprintf fmt "path: columnar scan (no join keys)@.";
         (Scan_path, None)
-    | Use_blas ->
+    | Use_blas _ ->
         Format.fprintf fmt "path: dense BLAS kernel (attribute-eliminated buffers)@.";
         (Blas_path, None)
     | Use_wcoj (ghd, pnode) ->
@@ -488,7 +490,6 @@ let explain_of t lq decided =
         (Wcoj_path, Some ghd.Ghd.fhw)
   in
   Format.pp_print_flush fmt ();
-  ignore t;
   { epath = path; efhw = fhw; etext = Buffer.contents buf }
 
 let wcoj_summary (lq : Logical.t) (ghd : Ghd.t) (pnode : Executor.pnode) =
@@ -524,31 +525,24 @@ let note_decided t (lq : Logical.t) decided =
       | Use_scan ->
           a.a_path <- "scan";
           a.a_plan <- "columnar scan"
-      | Use_blas ->
+      | Use_blas k ->
           a.a_path <- "blas";
-          a.a_plan <-
-            (match Blas_bridge.match_kernel lq ~dense_of:(dense_info t) with
-            | Some k -> Blas_bridge.describe k
-            | None -> "blas")
+          a.a_plan <- Blas_bridge.describe k
       | Use_wcoj (ghd, pnode) ->
           a.a_path <- "wcoj";
           a.a_plan <- wcoj_summary lq ghd pnode)
 
-let run_decided t lq decided ~name =
-  note_decided t lq decided;
+let execute t ~name lq decided =
+  Lh_util.Budget.start t.cfg.Config.budget;
   let rows =
     match decided with
     | Use_scan ->
         Obs.span "execute.scan" ~record:(Hist.observe_always h_scan) (fun () ->
             Executor.run_scan t.cfg lq)
-    | Use_blas ->
+    | Use_blas k ->
         Obs.span "execute.blas" ~record:(Hist.observe_always h_blas) (fun () ->
-            match
-              Blas_bridge.try_blas ~domains:(max 1 t.cfg.Config.domains)
-                ~budget:t.cfg.Config.budget lq ~dense_of:(dense_info t)
-            with
-            | Some rows -> rows
-            | None -> failwith "Engine: BLAS path vanished between planning and execution")
+            Blas_bridge.execute ~domains:(max 1 t.cfg.Config.domains)
+              ~budget:t.cfg.Config.budget k)
     | Use_wcoj (_, pnode) ->
         Obs.span "execute.wcoj" ~record:(Hist.observe_always h_wcoj) (fun () ->
             Executor.run t.cfg ~cache:t.trie_cache lq pnode)
@@ -564,42 +558,44 @@ let run_decided t lq decided ~name =
       (match t.prof with Some a -> a.a_rows_out <- result.T.nrows | None -> ());
       result)
 
-(* One shared pipeline so every entry point produces the same span tree:
-   query (root) > parse > [normalize] > translate > plan > [bind] >
-   execute.* > finalize. *)
-let translate_spanned t ast =
-  Obs.span "translate" (fun () ->
-      Logical.translate t.cat ~attribute_elimination:t.cfg.Config.attribute_elimination ast)
+let explained lq decided = Obs.span "explain" (fun () -> explain_of lq decided)
 
-(* Direct (uncached, unprepared) pipeline; used when the plan cache is
-   disabled and by [explain]. *)
-let run_pipeline t lq ~want_explain ~name =
-  let d = Obs.span "plan" ~record:(Hist.observe_always h_plan) (fun () -> decide t lq) in
-  let ex =
-    if want_explain then Some (Obs.span "explain" (fun () -> explain_of t lq d)) else None
-  in
-  Lh_util.Budget.start t.cfg.Config.budget;
-  (run_decided t lq d ~name, ex)
+let execute_explained t ~name lq decided =
+  let ex = explained lq decided in
+  (execute t ~name lq decided, ex)
 
 (* ------------------------------------------------------------------ *)
-(* Prepared plans                                                       *)
+(* Planning                                                             *)
+
+let parse = function
+  | Sql sql ->
+      Obs.span "parse" ~record:(Hist.observe_always h_parse) (fun () -> Lh_sql.Parser.parse sql)
+  | Ast ast -> ast
 
 (* GHD and attribute order are computed on the unbound (parameterized)
    plan: [Logical.bind_params] cannot change the hypergraph shape, so both
    stay valid for every binding. The BLAS decision does depend on bound
-   filter values, so it is re-checked (cheaply) at bind time instead. *)
-let plan_structures t (lq : Logical.t) =
-  if Array.length lq.Logical.vertices = 0 then (None, None)
-  else begin
-    let ghd =
-      Obs.span "plan.ghd" (fun () -> Ghd.plan lq ~heuristics:t.cfg.Config.ghd_heuristics)
-    in
-    let dense_of (e : Logical.edge) = Option.is_some (dense_info t e.Logical.table) in
-    let pnode =
-      Obs.span "plan.attr_order" (fun () -> Executor.physical t.cfg lq ~dense_of ghd)
-    in
-    (Some ghd, Some pnode)
-  end
+   filter values, so it is made at bind time instead. *)
+let translate_and_plan t ast =
+  let lq =
+    Obs.span "translate" (fun () ->
+        Logical.translate t.cat ~attribute_elimination:t.cfg.Config.attribute_elimination ast)
+  in
+  let wcoj =
+    Obs.span "plan" ~record:(Hist.observe_always h_plan) (fun () ->
+        if Array.length lq.Logical.vertices = 0 then None
+        else begin
+          let ghd =
+            Obs.span "plan.ghd" (fun () -> Ghd.plan lq ~heuristics:t.cfg.Config.ghd_heuristics)
+          in
+          let dense_of (e : Logical.edge) = Option.is_some (dense_info t e.Logical.table) in
+          let pnode =
+            Obs.span "plan.attr_order" (fun () -> Executor.physical t.cfg lq ~dense_of ghd)
+          in
+          Some (ghd, pnode)
+        end)
+  in
+  (lq, wcoj)
 
 let make_plan t ast =
   Lh_fault.Fault.hit fault_prepare;
@@ -611,56 +607,18 @@ let make_plan t ast =
         (String.concat ", " (List.map (Printf.sprintf "$%d") ps));
     n
   in
-  let lq = translate_spanned t ast in
-  let ghd, pnode =
-    Obs.span "plan" ~record:(Hist.observe_always h_plan) (fun () -> plan_structures t lq)
-  in
-  { p_ast = ast; p_nparams = nparams; p_lq = lq; p_ghd = ghd; p_pnode = pnode; p_epoch = t.epoch }
+  let lq, wcoj = translate_and_plan t ast in
+  { p_ast = ast; p_nparams = nparams; p_lq = lq; p_wcoj = wcoj; p_epoch = t.epoch }
 
 (* The catalog (or a plan-shaping config knob) changed under this plan:
    transparently re-translate and re-plan against the current state. *)
 let revalidate t plan =
   if plan.p_epoch <> t.epoch then begin
-    let lq = translate_spanned t plan.p_ast in
-    let ghd, pnode =
-      Obs.span "plan" ~record:(Hist.observe_always h_plan) (fun () -> plan_structures t lq)
-    in
+    let lq, wcoj = translate_and_plan t plan.p_ast in
     plan.p_lq <- lq;
-    plan.p_ghd <- ghd;
-    plan.p_pnode <- pnode;
+    plan.p_wcoj <- wcoj;
     plan.p_epoch <- t.epoch
   end
-
-let exec_plan t plan params ~want_explain ~name =
-  let ngiven = List.length params in
-  if ngiven <> plan.p_nparams then
-    semantic "statement expects %d parameter%s, got %d" plan.p_nparams
-      (if plan.p_nparams = 1 then "" else "s")
-      ngiven;
-  Lh_fault.Fault.hit fault_bind;
-  revalidate t plan;
-  let values = Array.of_list params in
-  let lookup i =
-    if i >= 1 && i <= Array.length values then Normalize.literal_of_value values.(i - 1)
-    else semantic "no value bound for parameter $%d" i
-  in
-  let lq =
-    Obs.span "bind" ~record:(Hist.observe_always h_bind) (fun () ->
-        Logical.bind_params plan.p_lq lookup)
-  in
-  let d =
-    if Array.length lq.Logical.vertices = 0 then Use_scan
-    else if blas_eligible t lq ~span_name:"bind.blas_match" then Use_blas
-    else Use_wcoj (Option.get plan.p_ghd, Option.get plan.p_pnode)
-  in
-  let ex =
-    if want_explain then Some (Obs.span "explain" (fun () -> explain_of t lq d)) else None
-  in
-  Lh_util.Budget.start t.cfg.Config.budget;
-  (run_decided t lq d ~name, ex)
-
-(* ------------------------------------------------------------------ *)
-(* Plan cache                                                           *)
 
 let evict_if_full t =
   if Hashtbl.length t.plans >= max 1 t.cfg.Config.plan_cache_capacity then begin
@@ -679,163 +637,150 @@ let evict_if_full t =
     | None -> ()
   end
 
-let cached_plan t ast =
-  let norm, values = Obs.span "normalize" (fun () -> Normalize.lift_literals ast) in
-  let key = Format.asprintf "%a" Ast.pp_query norm in
-  note_sql t key;
-  t.plan_tick <- t.plan_tick + 1;
-  let plan =
-    match Hashtbl.find_opt t.plans key with
-    | Some e ->
-        Obs.incr c_plan_hit;
-        note_cache t "hit";
-        e.c_used <- t.plan_tick;
-        e.c_plan
-    | None ->
-        Obs.incr c_plan_miss;
-        note_cache t "miss";
-        evict_if_full t;
-        let plan = make_plan t norm in
-        (* Between building the plan and publishing it: a fault here (or
-           any exception out of [make_plan] above) must leave the cache
-           without a partial entry — the entry is only installed on
-           success. *)
-        Lh_fault.Fault.hit fault_plan_fill;
-        Hashtbl.replace t.plans key { c_plan = plan; c_used = t.plan_tick };
-        plan
-  in
-  (plan, values)
-
-let run_query_ast t ast ~want_explain ~name =
+(* The plan of a one-shot query: literals are lifted out, then the plan
+   for the normalized AST is looked up in the cache, or built and
+   installed. With the cache off ([plan_cache_capacity = 0]) it is built
+   for this query and never installed. *)
+let plan_query t ast =
   Lh_fault.Fault.hit fault_query;
   if Ast.max_param ast > 0 then
     semantic "query contains parameters; use Engine.prepare / Stmt.exec to bind them";
-  if t.cfg.Config.plan_cache_capacity = 0 then begin
-    note_cache t "bypass";
-    let lq = translate_spanned t ast in
-    run_pipeline t lq ~want_explain ~name
-  end
-  else begin
-    let plan, values = cached_plan t ast in
-    exec_plan t plan values ~want_explain ~name
-  end
+  let norm, values = Obs.span "normalize" (fun () -> Normalize.lift_literals ast) in
+  let key = Format.asprintf "%a" Ast.pp_query norm in
+  note_sql t key;
+  let plan =
+    if t.cfg.Config.plan_cache_capacity = 0 then begin
+      note_cache t "bypass";
+      make_plan t norm
+    end
+    else begin
+      t.plan_tick <- t.plan_tick + 1;
+      match Hashtbl.find_opt t.plans key with
+      | Some e ->
+          Obs.incr c_plan_hit;
+          note_cache t "hit";
+          e.c_used <- t.plan_tick;
+          e.c_plan
+      | None ->
+          Obs.incr c_plan_miss;
+          note_cache t "miss";
+          evict_if_full t;
+          let plan = make_plan t norm in
+          (* Between building the plan and publishing it: a fault here (or
+             any exception out of [make_plan] above) must leave the cache
+             without a partial entry — the entry is only installed on
+             success. *)
+          Lh_fault.Fault.hit fault_plan_fill;
+          Hashtbl.replace t.plans key { c_plan = plan; c_used = t.plan_tick };
+          plan
+    end
+  in
+  (plan, values)
+
+(* Bind the parameter values and make the one path decision: scan when the
+   query has no join keys, BLAS when a dense kernel matches the bound
+   query, the WCOJ over the plan's GHD otherwise. *)
+let bind t plan params =
+  let ngiven = List.length params in
+  if ngiven <> plan.p_nparams then
+    semantic "statement expects %d parameter%s, got %d" plan.p_nparams
+      (if plan.p_nparams = 1 then "" else "s")
+      ngiven;
+  Lh_fault.Fault.hit fault_bind;
+  revalidate t plan;
+  let values = Array.of_list params in
+  let lookup i =
+    if i >= 1 && i <= Array.length values then Normalize.literal_of_value values.(i - 1)
+    else semantic "no value bound for parameter $%d" i
+  in
+  let lq =
+    Obs.span "bind" ~record:(Hist.observe_always h_bind) (fun () ->
+        Logical.bind_params plan.p_lq lookup)
+  in
+  let blas () =
+    if t.cfg.Config.blas_targeting && t.cfg.Config.attribute_elimination then
+      Obs.span "bind.blas_match" (fun () ->
+          Blas_bridge.match_kernel lq ~dense_of:(dense_info t))
+    else None
+  in
+  let decided =
+    match plan.p_wcoj with
+    | None -> Use_scan
+    | Some (ghd, pnode) -> (
+        match blas () with Some k -> Use_blas k | None -> Use_wcoj (ghd, pnode))
+  in
+  note_decided t lq decided;
+  (lq, decided)
 
 (* ------------------------------------------------------------------ *)
-(* Public query entry points                                            *)
+(* The request path                                                     *)
 
-let query_ast t ast =
-  wrap (fun () ->
-      let sql = if Obs.is_enabled () then Format.asprintf "%a" Ast.pp_query ast else "" in
-      profiled t ~sql (fun () ->
-          Obs.span "query" (fun () ->
-              fst (run_query_ast t ast ~want_explain:false ~name:"result"))))
-
-let run_sql t sql ~want_explain ~name =
-  profiled t ~sql (fun () ->
+(* Every query entry point is one call into [run]: parse → normalize →
+   plan → bind → [k]. [k] is [execute] (which finalizes), [explained] for
+   an explain without execution, or both. Failures are classified and
+   the profile finished at the one boundary, [caught]. *)
+let run t req k =
+  caught ~finish:(profile_start t req) (fun () ->
       Obs.span "query" (fun () ->
-          let ast =
-            Obs.span "parse" ~record:(Hist.observe_always h_parse) (fun () ->
-                Lh_sql.Parser.parse sql)
+          let plan, params =
+            match req with
+            | Query src -> plan_query t (parse src)
+            | Exec (s, params) ->
+                note_cache t "prepared";
+                (s.s_plan, params)
           in
-          run_query_ast t ast ~want_explain ~name))
+          let lq, decided = bind t plan params in
+          k lq decided))
 
-(* The result-typed entry points are canonical: every execution funnels
-   through [caught], which classifies failures exactly once. The raising
-   forms ([query], [Stmt.exec], …) are thin wrappers that re-raise —
-   budget exceptions pass through them raw (callers distinguish OOM from
-   timeout; [test/test_fuzz.ml] holds the engine to that contract), while
-   the result forms map both to [Budget_exceeded]. *)
-type caught_err = Typed of Error.t | Budget of exn
-
-let caught f =
-  match wrap f with
-  | v -> Ok v
-  | exception Error e -> Stdlib.Error (Typed e)
-  | exception ((Lh_util.Budget.Out_of_memory_budget | Lh_util.Budget.Timed_out) as exn) ->
-      Stdlib.Error (Budget exn)
-
-let unwrap = function
-  | Ok v -> v
-  | Stdlib.Error (Typed e) -> raise (Error e)
-  | Stdlib.Error (Budget exn) -> raise exn
-
-let to_result = function
-  | Ok v -> Ok v
-  | Stdlib.Error (Typed e) -> Stdlib.Error e
-  | Stdlib.Error (Budget _) -> Stdlib.Error Error.Budget_exceeded
-
-let query_caught t sql = caught (fun () -> fst (run_sql t sql ~want_explain:false ~name:"result"))
+let query_caught t sql = run t (Query (Sql sql)) (execute t ~name:"result")
 let query_result t sql = to_result (query_caught t sql)
 let query t sql = unwrap (query_caught t sql)
+let query_ast t ast = unwrap (run t (Query (Ast ast)) (execute t ~name:"result"))
 
 let semirings () = Semiring.names ()
 
 let query_into t ~name sql =
-  let result = wrap (fun () -> fst (run_sql t sql ~want_explain:false ~name)) in
+  let result = unwrap (run t (Query (Sql sql)) (execute t ~name)) in
   register t result;
   result
 
-let query_explain t sql =
-  wrap (fun () ->
-      let result, ex = run_sql t sql ~want_explain:true ~name:"result" in
-      (result, Option.get ex))
+let query_explain t sql = unwrap (run t (Query (Sql sql)) (execute_explained t ~name:"result"))
 
 let query_analyze t sql =
-  wrap (fun () ->
-      let (result, ex), report =
-        Lh_obs.Report.with_session (fun () -> run_sql t sql ~want_explain:true ~name:"result")
-      in
-      (result, Option.get ex, report))
+  let r, report =
+    Lh_obs.Report.with_session (fun () ->
+        run t (Query (Sql sql)) (execute_explained t ~name:"result"))
+  in
+  let result, ex = unwrap r in
+  (result, ex, report)
 
-let explain t sql =
-  wrap (fun () ->
-      let ast = Lh_sql.Parser.parse sql in
-      let lq = Logical.translate t.cat ~attribute_elimination:t.cfg.Config.attribute_elimination ast in
-      explain_of t lq (decide t lq))
+let explain t sql = unwrap (run t (Query (Sql sql)) explained)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared statements                                                  *)
 
-let prepare_ast t ast =
-  wrap (fun () ->
-      Obs.span "prepare" (fun () -> { s_eng = t; s_sql = ""; s_plan = make_plan t ast }))
-
-let prepare t sql =
-  wrap (fun () ->
+let prepare_caught t src =
+  caught ~finish:no_profile (fun () ->
       Obs.span "prepare" (fun () ->
-          let ast =
-            Obs.span "parse" ~record:(Hist.observe_always h_parse) (fun () ->
-                Lh_sql.Parser.parse sql)
-          in
-          { s_eng = t; s_sql = sql; s_plan = make_plan t ast }))
+          let s_sql = match src with Sql sql -> sql | Ast _ -> "" in
+          { s_eng = t; s_sql; s_plan = make_plan t (parse src) }))
 
-let prepare_result t sql = to_result (caught (fun () -> prepare t sql))
+let prepare t sql = unwrap (prepare_caught t (Sql sql))
+let prepare_result t sql = to_result (prepare_caught t (Sql sql))
+let prepare_ast t ast = unwrap (prepare_caught t (Ast ast))
 
 module Stmt = struct
   let sql s = s.s_sql
   let nparams s = s.s_plan.p_nparams
-
-  let exec_caught ~name s params =
-    caught (fun () ->
-        profiled s.s_eng ~sql:s.s_sql (fun () ->
-            Obs.span "query" (fun () ->
-                note_cache s.s_eng "prepared";
-                fst (exec_plan s.s_eng s.s_plan params ~want_explain:false ~name))))
-
+  let exec_caught ~name s params = run s.s_eng (Exec (s, params)) (execute s.s_eng ~name)
   let exec ?(name = "result") s params = unwrap (exec_caught ~name s params)
   let exec_result ?(name = "result") s params = to_result (exec_caught ~name s params)
 
   let exec_analyze ?(name = "result") s params =
-    wrap (fun () ->
-        let result, report =
-          Lh_obs.Report.with_session (fun () ->
-              profiled s.s_eng ~sql:s.s_sql (fun () ->
-                  Obs.span "query" (fun () ->
-                      note_cache s.s_eng "prepared";
-                      fst (exec_plan s.s_eng s.s_plan params ~want_explain:false ~name))))
-        in
-        (result, report))
+    let r, report = Lh_obs.Report.with_session (fun () -> exec_caught ~name s params) in
+    (unwrap r, report)
 end
+
 
 (* ------------------------------------------------------------------ *)
 (* Iterative queries (graph workloads over the SpMV loop)               *)

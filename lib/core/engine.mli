@@ -29,8 +29,9 @@
     Behind {!query}, literals are hoisted out of the AST
     ({!Lh_sql.Normalize.lift_literals}) and the parameterized plan — parse,
     hypergraph, GHD, attribute order — is cached keyed on the normalized
-    AST, LRU-bounded by [Config.plan_cache_capacity] ([0] disables).
-    Repeating a query shape with different constants only re-binds the
+    AST, LRU-bounded by [Config.plan_cache_capacity]. With capacity [0],
+    plans are built per query and never cached; the query still takes the
+    same normalize → plan → bind → execute path. Repeating a query shape with different constants only re-binds the
     constants; selectivity-dependent choices (BLAS-vs-WCOJ dispatch,
     equality-selection weights) are re-checked cheaply at bind time.
     Cached plans are invalidated by {!register} / {!register_rows} /
@@ -63,6 +64,12 @@ module Error : sig
 end
 
 exception Error of Error.t
+
+val error_of_exn : exn -> Error.t
+(** The engine's failure classifier, made total: the mapping every
+    result-typed entry point and every profile outcome reads. Budget
+    exceptions become [Budget_exceeded]; an exception the engine does not
+    recognize becomes [Semantic] with its printed form. *)
 
 type path = Scan_path | Wcoj_path | Blas_path
 
@@ -168,7 +175,9 @@ val query_analyze : t -> string -> Lh_storage.Table.t * explain * Lh_obs.Report.
     {!Lh_obs.Report.metrics_json} or {!Lh_obs.Report.chrome_trace}. *)
 
 val explain : t -> string -> explain
-(** Plan without executing (the BLAS/scan decision is still reported). *)
+(** {!query_explain} without the execution: the same parse, plan-cache
+    lookup and bind, so the reported path (BLAS/WCOJ/scan) is the one a
+    query would take. *)
 
 (** {2 Prepared statements} *)
 

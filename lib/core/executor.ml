@@ -278,7 +278,7 @@ let build_base_xrel ?cache ~domains (lq : Logical.t) ~order (edge : Logical.edge
     | _ -> build ()
   in
   let positions =
-    List.filteri (fun _ _ -> true) (List.mapi (fun i v -> (i, v)) order)
+    List.mapi (fun i v -> (i, v)) order
     |> List.filter_map (fun (i, v) -> if List.mem v levels_v then Some i else None)
   in
   { xtrie; xlevels = positions; xslot; xcode_items = Array.of_list (List.map fst gitems) }
@@ -918,6 +918,12 @@ let slot_ops (srs : Semiring.t array) =
   let opaque = Array.map (fun sr -> sr.Semiring.card = Semiring.Opaque) srs in
   (adds, muls, zeros, scales, opaque)
 
+(* What a bag emits. The root emits the query's GROUP BY items and may
+   take the sorted-emit path. A child emits its interface keys (in the
+   parent's attribute order) followed by every group code its relations
+   carry, and also folds the pseudo multiplicity slot. *)
+type bag_role = Root | Child of int list
+
 (* Execute a child node and wrap its materialized result as a relation for
    the parent: keys = interface (in the parent's attribute-order order),
    annotations = every slot plus the multiplicity. *)
@@ -925,9 +931,7 @@ let rec exec_child cfg ?cache (lq : Logical.t) (node : pnode) ~parent_order =
   let iface_sorted =
     List.filter (fun v -> List.mem v node.pbag.Ghd.interface) parent_order
   in
-  let gb_keys = List.map (fun v -> From_pos (pos_of node.porder v)) iface_sorted in
-  let sub_gitems = subtree_gitems lq node in
-  let rows, code_sources = run_bag cfg ?cache lq node ~gb_prefix:gb_keys ~with_pseudo:true in
+  let rows, code_sources = run_bag cfg ?cache lq node ~role:(Child iface_sorted) in
   let nslots = Array.length lq.Logical.slots in
   let nkeys = List.length iface_sorted in
   let rows_arr = Array.of_list rows in
@@ -958,7 +962,6 @@ let rec exec_child cfg ?cache (lq : Logical.t) (node : pnode) ~parent_order =
       (fun (i, v) -> if List.mem v iface_sorted then Some i else None)
       (List.mapi (fun i v -> (i, v)) parent_order)
   in
-  ignore sub_gitems;
   {
     xtrie;
     xlevels = positions;
@@ -973,27 +976,11 @@ and pos_of order v =
   | Some i -> i
   | None -> failwith "Executor: vertex missing from order"
 
-and subtree_gitems (lq : Logical.t) (node : pnode) =
-  (* gitem ids whose owning alias lives in this subtree. *)
-  let rec aliases (n : pnode) =
-    List.map (fun e -> lq.Logical.edges.(e).Logical.alias) n.pbag.Ghd.bag_edges
-    @ List.concat_map aliases n.pchildren
-  in
-  let als = aliases node in
-  Array.to_list lq.Logical.group_by
-  |> List.mapi (fun i g -> (i, g))
-  |> List.filter_map (fun (i, g) ->
-         match g with
-         | Logical.Group_ann a when List.mem a.alias als -> Some i
-         | Logical.Group_ann _ | Logical.Group_key _ -> None)
-
-(* Run the WCOJ for one node.  [gb_prefix] is the key part of the output
-   (positions of materialized vertices for child nodes; the real GROUP BY
-   sources at the root).  Returns the rows and, for child nodes, the gitem
-   ids appended as code columns after the key part. *)
-and run_bag cfg ?cache (lq : Logical.t) (node : pnode) ~gb_prefix ~with_pseudo =
+(* Run the WCOJ for one node (children first, bottom-up). Returns the rows
+   and, for a child, the gitem ids appended as code columns after its
+   interface keys. *)
+and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
   let order = node.porder in
-  (* Children first (bottom-up). *)
   let derived = List.map (fun c -> exec_child cfg ?cache lq c ~parent_order:order) node.pchildren in
   let bases =
     List.map
@@ -1003,154 +990,46 @@ and run_bag cfg ?cache (lq : Logical.t) (node : pnode) ~gb_prefix ~with_pseudo =
   in
   let rels = Array.of_list (bases @ derived) in
   (* Code sources: every gitem carried by some relation of this node. *)
-  let code_sources = ref [] in
-  Array.iteri
-    (fun ri (r : xrel) ->
-      Array.iteri (fun cp item -> code_sources := (item, From_rel (ri, cp)) :: !code_sources)
-        r.xcode_items)
-    rels;
-  let code_sources = List.rev !code_sources in
-  let gb, appended_items =
-    if with_pseudo then
-      (* child node: key = interface positions ++ all carried codes *)
-      ( Array.of_list (gb_prefix @ List.map snd code_sources),
-        Array.of_list (List.map fst code_sources) )
-    else (Array.of_list gb_prefix, [||])
-  in
-  let nslots_x, srs_x, coeffs_x = slot_arrays lq ~with_pseudo in
-  let adds_x, muls_x, zeros_x, scales_x, opaque_x = slot_ops srs_x in
-  let npos = List.length order in
-  (* Sorted-path eligibility (root only): all group sources are positions
-     forming a prefix (optionally with the relaxed last-position tail). *)
-  let boundary, relaxed_tail, spa_bound =
-    if with_pseudo then (None, false, -1)
-    else begin
-      let positions =
-        Array.to_list gb
-        |> List.map (function From_pos p -> Some p | From_rel _ -> None)
-      in
-      if List.exists Option.is_none positions then (None, false, -1)
-      else
-        let ps = List.sort_uniq compare (List.map Option.get positions) in
-        let m = List.length ps in
-        if ps = List.init m Fun.id then (Some m, false, -1)
-        else if
-          npos >= 2 && m >= 1
-          && ps = List.init (m - 1) Fun.id @ [ npos - 1 ]
-        then begin
-          (* relaxed shape: prefix of m-1 positions + the last position *)
-          let bound =
-            Array.fold_left
-              (fun acc (r : xrel) ->
-                match List.find_index (( = ) (npos - 1)) r.xlevels with
-                | Some l -> max acc r.xtrie.Trie.level_max.(l)
-                | None -> acc)
-              0 rels
-          in
-          (Some (m - 1), true, bound)
-        end
-        else (None, false, -1)
-    end
-  in
-  (* The sorted path emits key positions in walk order; it is only valid
-     when the gb array lists those positions in that same order. *)
-  let boundary, relaxed_tail, spa_bound =
-    match boundary with
-    | Some m ->
-        let expected =
-          if relaxed_tail then List.init m Fun.id @ [ npos - 1 ] else List.init m Fun.id
-        in
-        let actual = Array.to_list gb |> List.map (function From_pos p -> p | From_rel _ -> -1) in
-        if actual = expected then (boundary, relaxed_tail, spa_bound) else (None, false, -1)
-    | None -> (None, false, -1)
-  in
-  let input =
-    {
-      rels;
-      npos;
-      nslots_x;
-      srs_x;
-      coeffs_x;
-      adds_x;
-      muls_x;
-      zeros_x;
-      scales_x;
-      opaque_x;
-      gb;
-      boundary;
-      spa_bound;
-      relaxed_tail;
-      kmode = resolve_kmode cfg node rels ~npos ~srs:srs_x ~gb ~boundary ~relaxed_tail;
-    }
-  in
-  let rows =
-    Obs.span "wcoj.bag"
-      ~args:
-        [ ("rels", string_of_int (Array.length rels)); ("positions", string_of_int npos) ]
-      (fun () -> exec_bag cfg input)
-  in
-  (rows, appended_items)
-
-(* ------------------------------------------------------------------ *)
-
-let rec run cfg ?cache (lq : Logical.t) (root : pnode) =
-  (* Root group sources: GROUP BY items in order. *)
-  let order = root.porder in
-  (* run_bag needs per-gitem sources; key items come from positions, the
-     annotation items from whichever relation of the node carries them —
-     resolved after the xrels exist, so we pass placeholders and rewrite. *)
-  let gb_prefix =
-    Array.to_list lq.Logical.group_by
-    |> List.map (function
-         | Logical.Group_key v -> From_pos (pos_of order v)
-         | Logical.Group_ann _ -> From_rel (-1, -1) (* patched in run_bag_root *))
-  in
-  (* Rebuild with correct annotation sources: duplicate the run_bag logic
-     lightly by patching after relation construction would be invasive;
-     instead exploit that child nodes carry their gitems as codes and base
-     relations expose xcode_items: run_bag resolves From_rel (-1, -1)
-     placeholders itself. *)
-  let rows, _ = run_bag_root cfg ?cache lq root gb_prefix in
-  rows
-
-and run_bag_root (cfg : Config.t) ?cache lq (node : pnode) gb_prefix =
-  (* Same as run_bag ~with_pseudo:false, but resolves annotation gitem
-     sources against the built relations. *)
-  let order = node.porder in
-  let derived = List.map (fun c -> exec_child cfg ?cache lq c ~parent_order:order) node.pchildren in
-  let bases =
-    List.map
-      (fun e ->
-        build_base_xrel ?cache ~domains:(max 1 cfg.Config.domains) lq ~order lq.Logical.edges.(e))
-      node.pbag.Ghd.bag_edges
-  in
-  let rels = Array.of_list (bases @ derived) in
-  let where_is = Hashtbl.create 8 in
-  Array.iteri
-    (fun ri (r : xrel) ->
-      Array.iteri (fun cp item -> Hashtbl.replace where_is item (ri, cp)) r.xcode_items)
-    rels;
-  let gb =
-    Array.of_list
+  let code_sources =
+    List.concat
       (List.mapi
-         (fun i src ->
-           match src with
-           | From_pos _ -> src
-           | From_rel _ -> (
-               match Hashtbl.find_opt where_is i with
-               | Some (ri, cp) -> From_rel (ri, cp)
-               | None -> failwith "Executor: GROUP BY annotation not carried by any relation"))
-         gb_prefix)
+         (fun ri (r : xrel) ->
+           List.mapi (fun cp item -> (item, From_rel (ri, cp))) (Array.to_list r.xcode_items))
+         (Array.to_list rels))
   in
-  let nslots_x, srs_x, coeffs_x = slot_arrays lq ~with_pseudo:false in
+  let gb, appended_items =
+    match role with
+    | Child iface ->
+        ( Array.of_list
+            (List.map (fun v -> From_pos (pos_of order v)) iface @ List.map snd code_sources),
+          Array.of_list (List.map fst code_sources) )
+    | Root ->
+        (* GROUP BY items in order: keys read their position, annotations
+           the last relation carrying them. *)
+        let carried = List.rev code_sources in
+        ( Array.mapi
+            (fun i g ->
+              match g with
+              | Logical.Group_key v -> From_pos (pos_of order v)
+              | Logical.Group_ann _ -> (
+                  match List.assoc_opt i carried with
+                  | Some src -> src
+                  | None -> failwith "Executor: GROUP BY annotation not carried by any relation"))
+            lq.Logical.group_by,
+          [||] )
+  in
+  let nslots_x, srs_x, coeffs_x = slot_arrays lq ~with_pseudo:(role <> Root) in
   let adds_x, muls_x, zeros_x, scales_x, opaque_x = slot_ops srs_x in
   let npos = List.length order in
+  (* Sorted-emit eligibility (root only): the group sources are exactly
+     the positions 0..m-1 in walk order, optionally followed by the last
+     position (the relaxed tail). *)
   let boundary, relaxed_tail, spa_bound =
     let positions =
       Array.to_list gb |> List.map (function From_pos p -> Some p | From_rel _ -> None)
     in
-    if not cfg.Config.sorted_emit then (None, false, -1)
-    else if List.exists Option.is_none positions then (None, false, -1)
+    if role <> Root || (not cfg.Config.sorted_emit) || List.exists Option.is_none positions
+    then (None, false, -1)
     else
       let actual = List.map Option.get positions in
       let m = List.length actual in
@@ -1193,7 +1072,9 @@ and run_bag_root (cfg : Config.t) ?cache lq (node : pnode) gb_prefix =
         [ ("rels", string_of_int (Array.length rels)); ("positions", string_of_int npos) ]
       (fun () -> exec_bag cfg input)
   in
-  (rows, [||])
+  (rows, appended_items)
+
+let run cfg ?cache lq root = fst (run_bag cfg ?cache lq root ~role:Root)
 
 (* ------------------------------------------------------------------ *)
 (* Scan path: no vertices (e.g. TPC-H Q1 and Q6)                        *)

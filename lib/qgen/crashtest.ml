@@ -215,6 +215,8 @@ let query_site ~attempts ~seed site shapes =
   let dflt = L.Config.default in
   if site = "pool.chunk" && dflt.L.Config.domains <= 1 then
     Excused "requires domains > 1 (covered by the LH_DOMAINS=4 leg)"
+  else if site = "plan_cache.fill" && dflt.L.Config.plan_cache_capacity = 0 then
+    Excused "requires the plan cache on (LH_PLAN_CACHE=0 never installs a plan)"
   else begin
     let spec = { Gen.shapes; Gen.max_relations = 3; Gen.semiring = true } in
     let profile =

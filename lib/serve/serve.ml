@@ -50,16 +50,12 @@ let () =
     | Error e -> Some (Printf.sprintf "Serve.Error: %s" (error_to_string e))
     | _ -> None)
 
-(* Every failure a query path can see, folded to the typed surface. The
-   service never lets an exception cross a session boundary: an unknown
-   exception becomes a [Semantic] error rather than killing a worker. *)
-let error_of_exn = function
-  | Error e -> e
-  | Engine.Error e -> Engine_error e
-  | Fault.Injected site -> Engine_error (Engine.Error.Fault_injected site)
-  | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget ->
-      Engine_error Engine.Error.Budget_exceeded
-  | exn -> Engine_error (Engine.Error.Semantic (Printexc.to_string exn))
+(* Every failure a service path can see, folded to the typed surface.
+   Query and prepared-statement failures already arrive typed through the
+   engine's result API; the catch-all hands anything else (a fault at a
+   service site, an ingest error) to the engine's classifier, so no
+   exception ever crosses a session boundary. *)
+let error_of_exn = function Error e -> e | exn -> Engine_error (Engine.error_of_exn exn)
 
 type epoch = {
   e_id : int;
@@ -313,11 +309,13 @@ type prepared = {
    [s_lock] held. *)
 let stmt_for p e =
   match p.pr_cache with
-  | Some (id, st) when id = e.e_id -> st
+  | Some (id, st) when id = e.e_id -> Ok st
   | _ ->
-      let st = Engine.prepare (view_for p.pr_s e) p.pr_sql in
-      p.pr_cache <- Some (e.e_id, st);
-      st
+      Result.map
+        (fun st ->
+          p.pr_cache <- Some (e.e_id, st);
+          st)
+        (Engine.prepare_result (view_for p.pr_s e) p.pr_sql)
 
 let prepare s sql =
   locked s.s_lock (fun () ->
@@ -329,7 +327,8 @@ let prepare s sql =
         let p = { pr_s = s; pr_sql = sql; pr_cache = None } in
         let result =
           match stmt_for p e with
-          | _ -> Ok p
+          | Ok _ -> Ok p
+          | Result.Error err -> Result.Error (Engine_error err)
           | exception exn -> Result.Error (error_of_exn exn)
         in
         unpin_after t e result
@@ -347,8 +346,9 @@ let exec_prepared p params =
               let t = s.s_svc in
               let e = pin_for_query s in
               let result =
-                match Engine.Stmt.exec (stmt_for p e) params with
-                | table -> Ok (table, e.e_id)
+                match Result.bind (stmt_for p e) (fun st -> Engine.Stmt.exec_result st params) with
+                | Ok table -> Ok (table, e.e_id)
+                | Result.Error err -> Result.Error (Engine_error err)
                 | exception exn -> Result.Error (error_of_exn exn)
               in
               unpin_after t e result))

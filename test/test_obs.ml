@@ -237,8 +237,8 @@ let test_session_deltas () =
 
 let matrix_rows vals = List.map (fun (i, j, v) -> [ Dtype.VInt i; Dtype.VInt j; Dtype.VFloat v ]) vals
 
-let engine_with vals =
-  let e = L.Engine.create () in
+let engine_with ?config vals =
+  let e = L.Engine.create ?config () in
   ignore
     (L.Engine.register_rows e ~name:"m" ~schema:Lh_datagen.Matrices.matrix_schema
        (matrix_rows vals));
@@ -480,6 +480,31 @@ let test_profile_ok_outcome () =
           Alcotest.(check bool) "counters nonempty" true (p.L.Profile.p_counters <> []);
           Alcotest.(check bool) "normalized sql" true (String.length p.L.Profile.p_sql > 0))
 
+(* The failure tests below also run each failure kind at plan-cache
+   capacity 0 and through a prepared [Stmt.exec_result]: whichever way a
+   query fails, the typed error it returns and the outcome its profile
+   records must agree. *)
+let capacity0 = { L.Config.default with L.Config.plan_cache_capacity = 0 }
+
+let check_outcome_agrees name e res ~expect =
+  match res with
+  | Ok _ -> Alcotest.failf "%s: expected an error" name
+  | Error err -> (
+      if not (expect err) then
+        Alcotest.failf "%s: wrong error %s" name (L.Engine.Error.to_string err);
+      let outcome =
+        match err with
+        | L.Engine.Error.Budget_exceeded -> L.Profile.Budget_overrun
+        | L.Engine.Error.Fault_injected site -> L.Profile.Injected_fault site
+        | err -> L.Profile.Typed_error (L.Engine.Error.to_string err)
+      in
+      match L.Engine.last_profile e with
+      | Some p ->
+          Alcotest.(check bool)
+            (name ^ ": profile outcome agrees with the typed error")
+            true (p.L.Profile.p_outcome = outcome)
+      | None -> profile_exn ())
+
 let test_profile_error_outcome () =
   let e = engine_with [ (0, 1, 2.0) ] in
   Obs.with_enabled true (fun () ->
@@ -490,7 +515,21 @@ let test_profile_error_outcome () =
       | Some { L.Profile.p_outcome = L.Profile.Typed_error _; p_rows_out; _ } ->
           Alcotest.(check int) "no rows on failure" 0 p_rows_out
       | Some _ -> Alcotest.fail "wrong outcome tag"
-      | None -> profile_exn ())
+      | None -> profile_exn ());
+  let typed = function
+    | L.Engine.Error.Budget_exceeded | L.Engine.Error.Fault_injected _ -> false
+    | _ -> true
+  in
+  Obs.with_enabled true (fun () ->
+      let e0 = engine_with ~config:capacity0 [ (0, 1, 2.0) ] in
+      check_outcome_agrees "capacity 0" e0
+        (L.Engine.query_result e0 "select x from nosuch")
+        ~expect:typed;
+      (* a prepared statement fails at bind: wrong parameter count *)
+      let stmt = L.Engine.prepare e "select sum(m.v) as s from m" in
+      check_outcome_agrees "prepared" e
+        (L.Engine.Stmt.exec_result stmt [ Dtype.VInt 1 ])
+        ~expect:typed)
 
 let test_profile_fault_outcome () =
   let e = engine_with [ (0, 1, 2.0); (1, 2, 3.0) ] in
@@ -506,7 +545,24 @@ let test_profile_fault_outcome () =
       | Some { L.Profile.p_outcome = L.Profile.Injected_fault site; _ } ->
           Alcotest.(check string) "site recorded" "engine.query" site
       | Some _ -> Alcotest.fail "wrong outcome tag"
-      | None -> profile_exn ())
+      | None -> profile_exn ());
+  let fired_at site = function L.Engine.Error.Fault_injected s -> s = site | _ -> false in
+  let with_fault site f =
+    Fault.disarm_all ();
+    Fault.arm ~kind:Fault.Generic ~trigger:(Fault.Nth 1) site;
+    Fun.protect ~finally:Fault.disarm_all f
+  in
+  Obs.with_enabled true (fun () ->
+      (* capacity 0 runs the same prepare and bind sites as the cached path *)
+      let e0 = engine_with ~config:capacity0 [ (0, 1, 2.0); (1, 2, 3.0) ] in
+      List.iter
+        (fun site ->
+          let res = with_fault site (fun () -> L.Engine.query_result e0 smm) in
+          check_outcome_agrees ("capacity 0 at " ^ site) e0 res ~expect:(fired_at site))
+        [ "engine.query"; "engine.prepare"; "engine.bind" ];
+      let stmt = L.Engine.prepare e smm in
+      let res = with_fault "engine.bind" (fun () -> L.Engine.Stmt.exec_result stmt []) in
+      check_outcome_agrees "prepared at engine.bind" e res ~expect:(fired_at "engine.bind"))
 
 let test_profile_budget_outcome () =
   let e = engine_with [ (0, 1, 2.0); (1, 2, 3.0); (2, 0, 4.0) ] in
@@ -527,7 +583,18 @@ let test_profile_budget_outcome () =
       match L.Engine.last_profile e with
       | Some { L.Profile.p_outcome = L.Profile.Budget_overrun; _ } -> ()
       | Some _ -> Alcotest.fail "wrong outcome tag"
-      | None -> profile_exn ())
+      | None -> profile_exn ());
+  let budget = function L.Engine.Error.Budget_exceeded -> true | _ -> false in
+  Obs.with_enabled true (fun () ->
+      let e0 =
+        engine_with ~config:{ capacity0 with L.Config.budget = tiny } [ (0, 1, 2.0); (1, 2, 3.0) ]
+      in
+      check_outcome_agrees "capacity 0" e0 (L.Engine.query_result e0 scan_sql) ~expect:budget;
+      let stmt = L.Engine.prepare e scan_sql in
+      L.Engine.set_config e { saved with L.Config.budget = tiny };
+      let res = L.Engine.Stmt.exec_result stmt [] in
+      L.Engine.set_config e saved;
+      check_outcome_agrees "prepared" e res ~expect:budget)
 
 let test_profile_disabled () =
   let e = engine_with [ (0, 1, 2.0); (1, 2, 3.0) ] in

@@ -169,7 +169,39 @@ let test_cache_eviction_and_disable () =
   let _, _, r = L.Engine.query_analyze e0 (smm 10.0) in
   Alcotest.(check int) "disabled: no hits" 0 (cval "plan_cache.hit" r);
   Alcotest.(check int) "disabled: no misses counted" 0 (cval "plan_cache.miss" r);
-  Alcotest.(check bool) "disabled: replans every time" true (has_span "plan.ghd" r)
+  Alcotest.(check bool) "disabled: replans every time" true (has_span "plan.ghd" r);
+  (* Capacity 0 takes the cached path minus the install, so every BI and
+     LA shape answers the same rows with the same plan at capacity 0 and
+     64 — and [explain], which stops before execution, reports the plan
+     [query_explain] ran. *)
+  let eng = Lazy.force Helpers.tpch_engine in
+  let saved = L.Engine.config eng in
+  let at capacity sql =
+    L.Engine.set_config eng { saved with L.Config.plan_cache_capacity = capacity };
+    Fun.protect
+      ~finally:(fun () -> L.Engine.set_config eng saved)
+      (fun () ->
+        let result, ex = L.Engine.query_explain eng sql in
+        (Table.to_rows result, ex, L.Engine.explain eng sql))
+  in
+  let same_plan what (a : L.Engine.explain) (b : L.Engine.explain) =
+    Alcotest.(check bool) (what ^ ": path") true (a.L.Engine.epath = b.L.Engine.epath);
+    Alcotest.(check (option (float 0.0))) (what ^ ": fhw") a.L.Engine.efhw b.L.Engine.efhw;
+    Alcotest.(check string) (what ^ ": plan text") a.L.Engine.etext b.L.Engine.etext
+  in
+  List.iter
+    (fun (name, sql) ->
+      let rows64, ex64, plain64 = at 64 sql in
+      let rows0, ex0, plain0 = at 0 sql in
+      Helpers.check_rows_equal (name ^ " rows at capacity 0 vs 64") rows64 rows0;
+      same_plan (name ^ " explain at capacity 0 vs 64") ex64 ex0;
+      same_plan (name ^ " explain vs query_explain") ex64 plain64;
+      same_plan (name ^ " explain vs query_explain at capacity 0") ex0 plain0)
+    Helpers.
+      [
+        ("q1", q1); ("q3", q3); ("q5", q5); ("q6", q6); ("q10", q10);
+        ("smv", smv); ("smm", smm); ("dmv", dmv); ("dmm", dmm);
+      ]
 
 (* ---- set_config invalidation: plan-relevant knobs flush, others keep
    the cache (the §VI-A hot-run protocol depends on the latter) ---- *)
