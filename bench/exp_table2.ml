@@ -148,9 +148,10 @@ let run_la params =
   in
   (sparse_rows, dense_rows)
 
-let run params =
-  let bi = run_bi params in
-  let bi = print_block "Table II — TPC-H (BI) block" bi_systems bi in
+(* The two blocks run independently, so [table2-bi] alone never pays for
+   the LA datasets. *)
+let bi params = print_block "Table II — TPC-H (BI) block" bi_systems (run_bi params)
+
+let la params =
   let sparse, dense = run_la params in
-  let la = print_block "Table II — Linear Algebra block" la_systems (sparse @ dense) in
-  (bi, la)
+  print_block "Table II — Linear Algebra block" la_systems (sparse @ dense)

@@ -37,22 +37,13 @@ let run_ids params ids =
     C.current_experiment := id;
     f ()
   in
-  let table2 = ref None in
-  let ensure_table2 () =
-    match !table2 with
-    | Some r -> r
-    | None ->
-        let r = tagged "table2" (fun () -> Exp_table2.run params) in
-        table2 := Some r;
-        r
-  in
-  if wants "table2-bi" || wants "table2-la" then ignore (ensure_table2 ());
+  let bi = lazy (tagged "table2-bi" (fun () -> Exp_table2.bi params)) in
+  let la = lazy (tagged "table2-la" (fun () -> Exp_table2.la params)) in
+  if wants "table2-bi" then ignore (Lazy.force bi);
+  if wants "table2-la" then ignore (Lazy.force la);
   if wants "table3" then tagged "table3" (fun () -> ignore (Exp_table3.run params));
   if wants "table4" then tagged "table4" (fun () -> ignore (Exp_table4.run params));
-  if wants "fig1" then begin
-    let bi, la = ensure_table2 () in
-    fig1 bi la
-  end;
+  if wants "fig1" then fig1 (Lazy.force bi) (Lazy.force la);
   if wants "fig5a" then tagged "fig5a" (fun () -> Exp_fig5.run_fig5a params);
   if wants "fig5b" then tagged "fig5b" (fun () -> Exp_fig5.run_fig5b params);
   if wants "fig5c" then tagged "fig5c" (fun () -> Exp_fig5.run_fig5c params);
@@ -64,6 +55,55 @@ let run_ids params ids =
   if wants "graph" then tagged "graph" (fun () -> ignore (Exp_graph.run params));
   if wants "durability" then tagged "durability" (fun () -> ignore (Exp_durable.run params));
   C.write_json ()
+
+(* ---------------- report: committed cells as markdown ----------------
+
+   The Table II BI block of a baseline record file, read from the records'
+   [outcome] fields, so EXPERIMENTS.md quotes the committed JSON instead
+   of hand-copied numbers (ci.sh diffs the two). The file holds one scale
+   factor, so each query is one row, in record order. *)
+let report path =
+  let module Json = Lh_obs.Json in
+  let records =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Json.List l -> l
+    | other -> [ other ]
+  in
+  let str k r = match Json.member k r with Some (Json.String s) -> s | _ -> "" in
+  let cells = List.filter (fun r -> str "experiment" r = "table2-bi") records in
+  let label r =
+    match List.find_opt (fun (_, sql) -> String.equal sql (str "sql" r)) Queries.tpch with
+    | Some (name, _) -> name
+    | None -> str "sql" r
+  in
+  let systems =
+    List.map C.system_name Exp_table2.bi_systems
+    |> List.filter (fun s -> List.exists (fun r -> str "system" r = s) cells)
+  in
+  let cell = Hashtbl.create 64 and rows = ref [] in
+  List.iter
+    (fun r ->
+      let name = label r and system = str "system" r in
+      if Hashtbl.mem cell (name, system) then
+        failwith (Printf.sprintf "--report: %s on %s appears twice; use one scale factor" name system);
+      if not (List.mem name !rows) then rows := name :: !rows;
+      Hashtbl.replace cell (name, system) r)
+    cells;
+  let seconds r = Option.bind (Json.member "seconds" r) Json.to_float in
+  let lh = C.system_name C.Lh and hy = C.system_name C.Hyper_like in
+  Printf.printf "| query | %s | %s ÷ %s |\n" (String.concat " | " systems) lh hy;
+  Printf.printf "|---|%s---|\n" (String.concat "" (List.map (fun _ -> "---|") systems));
+  List.iter
+    (fun name ->
+      let find s = Hashtbl.find_opt cell (name, s) in
+      let outcome s = match find s with Some r -> str "outcome" r | None -> "-" in
+      let ratio =
+        match (Option.bind (find lh) seconds, Option.bind (find hy) seconds) with
+        | Some a, Some b when b > 0.0 -> Printf.sprintf "%.2fx" (a /. b)
+        | _ -> "-"
+      in
+      Printf.printf "| %s | %s | %s |\n" name (String.concat " | " (List.map outcome systems)) ratio)
+    (List.rev !rows)
 
 (* ---------------- smoke: one query per experiment family, telemetry on,
    fail if any expected counter is absent (CI wiring: see ci.sh) -------- *)
@@ -534,6 +574,13 @@ let slowdown_arg =
   in
   Arg.(value & opt float 1.0 & info [ "compare-slowdown" ] ~docv:"F" ~doc)
 
+let report_arg =
+  let doc =
+    "Print the Table II BI cells of the record file $(docv) (a --json baseline) as a markdown \
+     table and exit; EXPERIMENTS.md's generated subsection is this output."
+  in
+  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"BASELINE" ~doc)
+
 let run_compare ~baseline_path ~tolerance ~slowdown current =
   match Lh_obs.Baseline.load baseline_path with
   | exception (Sys_error msg | Lh_obs.Json.Parse_error msg) ->
@@ -549,7 +596,7 @@ let run_compare ~baseline_path ~tolerance ~slowdown current =
       if Lh_obs.Baseline.ok v then 0 else 1
 
 let main ids sf la_scale dense runs timeout mem_words seed domains concurrency json run_smoke
-    compare_base compare_with tolerance slowdown =
+    compare_base compare_with tolerance slowdown report_path =
   let parse_list conv s = String.split_on_char ',' s |> List.map String.trim |> List.map conv in
   let params =
     {
@@ -575,6 +622,14 @@ let main ids sf la_scale dense runs timeout mem_words seed domains concurrency j
   | None -> ());
   C.json_out := json;
   if run_smoke then exit (smoke params);
+  Option.iter
+    (fun path ->
+      match report path with
+      | () -> exit 0
+      | exception (Sys_error msg | Lh_obs.Json.Parse_error msg) ->
+          Printf.eprintf "cannot load %s: %s\n" path msg;
+          exit 2)
+    report_path;
   (* Pure file-vs-file comparison: no experiments run. *)
   (match (compare_base, compare_with) with
   | Some b, Some c -> (
@@ -612,6 +667,6 @@ let cmd =
     Term.(
       const main $ ids_arg $ sf_arg $ la_scale_arg $ dense_arg $ runs_arg $ timeout_arg $ mem_arg
       $ seed_arg $ domains_arg $ concurrency_arg $ json_arg $ smoke_arg $ compare_arg
-      $ compare_with_arg $ tolerance_arg $ slowdown_arg)
+      $ compare_with_arg $ tolerance_arg $ slowdown_arg $ report_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -127,23 +127,31 @@ LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts 
 # batches may be absent or complete, never partial. LH_KILL_COUNT
 # scales the batches per scenario (default 6); pinned seed for CI.
 dune exec bin/lhfuzz.exe -- --kill-restart --seed 42 --quiet
-# Bench-baseline regression gate (see BENCH_10.json / EXPERIMENTS.md).
+# Bench-baseline regression gate (see BENCH_14.json / EXPERIMENTS.md).
 # Deterministic legs first: the baseline must compare clean against
 # itself, and the gate must actually fire on a synthetic 3x slowdown.
-dune exec bench/main.exe -- --compare BENCH_10.json --compare-with BENCH_10.json
-if dune exec bench/main.exe -- --compare BENCH_10.json --compare-with BENCH_10.json --compare-slowdown 3 > /dev/null; then
+dune exec bench/main.exe -- --compare BENCH_14.json --compare-with BENCH_14.json
+if dune exec bench/main.exe -- --compare BENCH_14.json --compare-with BENCH_14.json --compare-slowdown 3 > /dev/null; then
   echo "ci FAIL: --compare accepted a 3x slowdown" >&2
   exit 1
 fi
+# EXPERIMENTS.md's Table II BI subsection is generated from the
+# baseline's cells; fail if the committed text drifted from them.
+bench_report=$(dune exec bench/main.exe -- --report BENCH_14.json)
+bench_doc=$(sed -n '/^<!-- generated: bench --report BENCH_14.json -->$/,/^<!-- end generated -->$/p' EXPERIMENTS.md | sed '1d;$d')
+if [ "$bench_report" != "$bench_doc" ]; then
+  echo "ci FAIL: EXPERIMENTS.md Table II BI subsection differs from bench --report BENCH_14.json" >&2
+  exit 1
+fi
 # Live leg: re-run the baseline's experiment subset (now including the
-# service-concurrency, set-layout kernel, semiring graph-iteration and
-# durable ingest/recovery cells) on this machine and compare. Warn-only —
-# shared CI runners are too noisy for a hard wall-clock gate; the
-# comparison text still lands in the CI log.
-if dune exec bench/main.exe -- fig5a fig5c fig6 table4 repeated concurrency layouts graph durability --sf 0.01 --runs 3 \
-     --json /tmp/lh_bench_ci.json --compare BENCH_10.json > /tmp/lh_bench_ci.log 2>&1; then
+# Table II BI block, service-concurrency, set-layout kernel, semiring
+# graph-iteration and durable ingest/recovery cells) on this machine and
+# compare. Warn-only — shared CI runners are too noisy for a hard
+# wall-clock gate; the comparison text still lands in the CI log.
+if dune exec bench/main.exe -- table2-bi fig5a fig5c fig6 table4 repeated concurrency layouts graph durability --sf 0.01 --runs 3 \
+     --json /tmp/lh_bench_ci.json --compare BENCH_14.json > /tmp/lh_bench_ci.log 2>&1; then
   tail -n 1 /tmp/lh_bench_ci.log
 else
-  echo "ci warn: bench regressed vs BENCH_10.json (soft gate):" >&2
+  echo "ci warn: bench regressed vs BENCH_14.json (soft gate):" >&2
   grep -E '^(REGRESSION|baseline compare)' /tmp/lh_bench_ci.log >&2 || tail -n 20 /tmp/lh_bench_ci.log >&2
 fi

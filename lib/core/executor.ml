@@ -239,12 +239,15 @@ let build_base_xrel ?cache ~domains (lq : Logical.t) ~order (edge : Logical.edge
       Array.of_list
         (List.map (fun v -> T.icol table (List.assoc v edge.Logical.vertex_cols)) levels_v)
     in
+    (* Codes are read only at kept rows, so only those are evaluated. *)
     let group_cols =
       Array.of_list
         (List.map
            (fun (_, expr) ->
              let f = Compile.code table ~resolve expr in
-             Array.init table.T.nrows f)
+             let col = Array.make table.T.nrows 0 in
+             Array.iter (fun r -> col.(r) <- f r) rows;
+             col)
            gitems)
     in
     let aggs =

@@ -16,52 +16,179 @@ type t = {
   level_nodes : int array;
 }
 
-(* Aggregate the rows of one leaf segment into groups keyed by their
-   GROUP BY annotation codes.  The overwhelmingly common case (no
-   annotation GROUP BY) avoids the hash table entirely. *)
-let make_groups ~rows ~group_cols ~aggs ~mults lo hi =
-  let naggs = Array.length aggs in
-  let eval_vec r = Array.map (fun (_, f) -> f r) aggs in
-  let fold_into g r =
-    for j = 0 to naggs - 1 do
-      let comb, f = aggs.(j) in
-      g.(j) <- comb g.(j) (f r)
-    done
+(* ---- row ordering ---- *)
+
+(* Key codes are dense non-negative integers, so rows are ordered by a
+   stable LSD radix sort over 11-bit digits of [key - min], last level
+   first. Scratch space is one n-slot array plus the bucket counts; it does
+   not grow with the key range. *)
+let digit_bits = 11
+let nbuckets = 1 lsl digit_bits
+let digit_mask = nbuckets - 1
+
+(* Whether [rows] already ascend in key-tuple order (ties allowed). Most
+   per-query builds take this branch: filtered base-table rows usually
+   arrive in the order of their first key. The annotation keeps the
+   comparisons on ints rather than polymorphic. *)
+let presorted (keys : int array array) rows =
+  let nlevels = Array.length keys in
+  let rec le l r1 r2 =
+    l >= nlevels
+    ||
+    let a = keys.(l).(r1) and b = keys.(l).(r2) in
+    a < b || (a = b && le (l + 1) r1 r2)
   in
-  if Array.length group_cols = 0 then begin
-    let r0 = rows.(lo) in
-    let vec = eval_vec r0 in
-    let mult = ref (mults r0) in
-    for i = lo + 1 to hi - 1 do
-      fold_into vec rows.(i);
-      mult := !mult +. mults rows.(i)
+  let n = Array.length rows in
+  let i = ref 1 in
+  while !i < n && le 0 rows.(!i - 1) rows.(!i) do
+    incr i
+  done;
+  !i >= n
+
+(* [rows] ordered by key tuple, equal tuples in input order. Returns [rows]
+   itself when it is already in order; never mutates it. *)
+let sort_rows keys rows =
+  if presorted keys rows then rows
+  else begin
+    let n = Array.length rows in
+    let src = ref (Array.copy rows) and dst = ref (Array.make n 0) in
+    let counts = Array.make (nbuckets + 1) 0 in
+    for l = Array.length keys - 1 downto 0 do
+      let col = keys.(l) in
+      let s = !src in
+      let lo = ref max_int and hi = ref min_int in
+      for i = 0 to n - 1 do
+        let v = col.(s.(i)) in
+        if v < !lo then lo := v;
+        if v > !hi then hi := v
+      done;
+      let lo = !lo and range = !hi - !lo in
+      let shift = ref 0 in
+      while !shift < Sys.int_size && range lsr !shift > 0 do
+        let s = !src and d = !dst and sh = !shift in
+        Array.fill counts 0 (nbuckets + 1) 0;
+        for i = 0 to n - 1 do
+          let b = ((col.(s.(i)) - lo) lsr sh) land digit_mask in
+          counts.(b + 1) <- counts.(b + 1) + 1
+        done;
+        (* counts.(b) becomes the first output slot of bucket b. *)
+        for b = 1 to nbuckets do
+          counts.(b) <- counts.(b) + counts.(b - 1)
+        done;
+        for i = 0 to n - 1 do
+          let r = s.(i) in
+          let b = ((col.(r) - lo) lsr sh) land digit_mask in
+          d.(counts.(b)) <- r;
+          counts.(b) <- counts.(b) + 1
+        done;
+        src := d;
+        dst := s;
+        shift := sh + digit_bits
+      done
     done;
-    [| { codes = [||]; vec; mult = !mult } |]
+    !src
+  end
+
+(* ---- leaf groups ---- *)
+
+(* What a leaf segment's rows contribute; see [build]. *)
+type leaf_spec = {
+  group_cols : int array array;
+  aggs : ((float -> float -> float) * (int -> float)) array;
+  mults : int -> float;
+}
+
+(* The groups array of every leaf with no aggregates, no GROUP BY codes and
+   total multiplicity 1. Groups are immutable, so all such leaves share it,
+   and [build] recognises unit leaves by physical equality. *)
+let unit_leaf = [| { codes = [||]; vec = [||]; mult = 1.0 } |]
+
+let eval_vec spec r =
+  let n = Array.length spec.aggs in
+  if n = 0 then [||]
+  else begin
+    let v = Array.make n 0.0 in
+    for j = 0 to n - 1 do
+      v.(j) <- (snd spec.aggs.(j)) r
+    done;
+    v
+  end
+
+let fold_into spec vec r =
+  for j = 0 to Array.length spec.aggs - 1 do
+    let comb, f = spec.aggs.(j) in
+    vec.(j) <- comb vec.(j) (f r)
+  done
+
+let codes_of spec r =
+  let n = Array.length spec.group_cols in
+  if n = 0 then [||]
+  else begin
+    let c = Array.make n 0 in
+    for g = 0 to n - 1 do
+      c.(g) <- spec.group_cols.(g).(r)
+    done;
+    c
+  end
+
+let same_codes spec r1 r2 =
+  let cols = spec.group_cols in
+  let rec go g = g >= Array.length cols || (cols.(g).(r1) = cols.(g).(r2) && go (g + 1)) in
+  go 0
+
+module Codes_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash = Hashtbl.hash
+end)
+
+type acc = { acodes : int array; avec : float array; mutable amult : float }
+
+(* Aggregate the rows of one leaf segment into groups keyed by their GROUP
+   BY annotation codes, folding rows in segment (= input) order. A segment
+   whose rows share their codes (one row, or no annotation GROUP BY) is a
+   single group; only mixed codes need the table. *)
+let make_groups spec rows lo hi =
+  let r0 = rows.(lo) in
+  let i = ref (lo + 1) in
+  while !i < hi && same_codes spec r0 rows.(!i) do
+    incr i
+  done;
+  if !i >= hi then begin
+    let vec = eval_vec spec r0 in
+    let mult = ref (spec.mults r0) in
+    for i = lo + 1 to hi - 1 do
+      let r = rows.(i) in
+      fold_into spec vec r;
+      mult := !mult +. spec.mults r
+    done;
+    let codes = codes_of spec r0 in
+    if Array.length codes = 0 && Array.length vec = 0 && !mult = 1.0 then unit_leaf
+    else [| { codes; vec; mult = !mult } |]
   end
   else begin
-    let codes_of r = Array.map (fun col -> col.(r)) group_cols in
-    (* Keep insertion order stable for determinism. *)
-    let table : (int array, float array ref * float ref) Hashtbl.t = Hashtbl.create 4 in
+    let table = Codes_tbl.create 8 in
     let order = ref [] in
     for i = lo to hi - 1 do
       let r = rows.(i) in
-      let codes = codes_of r in
-      match Hashtbl.find_opt table codes with
-      | Some (vec, mult) ->
-          fold_into !vec r;
-          mult := !mult +. mults r
+      let codes = codes_of spec r in
+      match Codes_tbl.find_opt table codes with
+      | Some a ->
+          fold_into spec a.avec r;
+          a.amult <- a.amult +. spec.mults r
       | None ->
-          Hashtbl.replace table codes (ref (eval_vec r), ref (mults r));
-          order := codes :: !order
+          let a = { acodes = codes; avec = eval_vec spec r; amult = spec.mults r } in
+          Codes_tbl.replace table codes a;
+          order := a :: !order
     done;
-    let groups =
-      List.rev_map
-        (fun codes ->
-          let vec, mult = Hashtbl.find table codes in
-          { codes; vec = !vec; mult = !mult })
-        !order
-    in
-    Array.of_list groups
+    Array.of_list (List.rev_map (fun a -> { codes = a.acodes; vec = a.avec; mult = a.amult }) !order)
   end
 
 let empty_node = { set = Lh_set.Set.empty; children = [||]; groups = [||] }
@@ -89,26 +216,11 @@ type bstats = {
 let build ?(domains = 1) ~keys ~rows ?(group_cols = [||]) ?(aggs = [||]) ?(mults = fun _ -> 1.0) () =
   let nlevels = Array.length keys in
   if nlevels = 0 then invalid_arg "Trie.build: at least one key level required";
-  let rows = Array.copy rows in
-  let cmp r1 r2 =
-    let rec go l =
-      if l >= nlevels then 0
-      else
-        let c = Int.compare keys.(l).(r1) keys.(l).(r2) in
-        if c <> 0 then c else go (l + 1)
-    in
-    go 0
-  in
-  Array.sort cmp rows;
+  let rows = sort_rows keys rows in
+  let spec = { group_cols; aggs; mults } in
   let nrows = Array.length rows in
   (* rows.(lo..hi) share the key prefix above [level]; produce the node for
      this subtree.  Segments of equal value at [level] become set entries. *)
-  let unit_groups g =
-    Array.length g = 1
-    && Array.length g.(0).codes = 0
-    && Array.length g.(0).vec = 0
-    && g.(0).mult = 1.0
-  in
   let tally_set stats level set =
     stats.nsets.(level) <- stats.nsets.(level) + 1;
     match Lh_set.Set.layout set with
@@ -143,8 +255,8 @@ let build ?(domains = 1) ~keys ~rows ?(group_cols = [||]) ?(aggs = [||]) ?(mults
       values.(!k) <- v;
       if v > stats.maxes.(level) then stats.maxes.(level) <- v;
       if last then begin
-        groups.(!k) <- make_groups ~rows ~group_cols ~aggs ~mults seg_lo !i;
-        if stats.unit_leaves && not (unit_groups groups.(!k)) then stats.unit_leaves <- false;
+        groups.(!k) <- make_groups spec rows seg_lo !i;
+        if groups.(!k) != unit_leaf then stats.unit_leaves <- false;
         stats.tuples <- stats.tuples + 1
       end
       else children.(!k) <- build_node stats (level + 1) seg_lo !i;
@@ -219,8 +331,8 @@ let build ?(domains = 1) ~keys ~rows ?(group_cols = [||]) ?(aggs = [||]) ?(mults
           let seg_lo = bounds.(k) and seg_hi = bounds.(k + 1) in
           if last then begin
             Lh_fault.Fault.hit fault_node;
-            groups.(k) <- make_groups ~rows ~group_cols ~aggs ~mults seg_lo seg_hi;
-            if stats.unit_leaves && not (unit_groups groups.(k)) then stats.unit_leaves <- false;
+            groups.(k) <- make_groups spec rows seg_lo seg_hi;
+            if groups.(k) != unit_leaf then stats.unit_leaves <- false;
             stats.tuples <- stats.tuples + 1
           end
           else children.(k) <- build_node stats 1 seg_lo seg_hi)

@@ -61,6 +61,11 @@ val build :
     gives each row's multiplicity (default 1.0, i.e. [mult] counts rows).
     At least one key level is required.
 
+    Rows are ordered by a stable radix sort over the key codes, which must
+    be non-negative (skipped when [rows] already arrive in key order), so
+    rows sharing a key prefix fold into their leaf group's [vec] and [mult]
+    in input-row order.
+
     With [domains > 1] the subtrees under distinct first-level keys are
     built in parallel on the shared {!Lh_util.Pool}. Each subtree is the
     same computation the sequential recursion performs over the same row

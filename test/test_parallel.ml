@@ -194,11 +194,26 @@ let dump_trie t =
         :: !acc);
   (List.rev !acc, Trie.cardinality t, Array.to_list t.Trie.level_max)
 
+(* Narrow keys sort in one radix pass per level. Wide keys (up to 2^40)
+   take several 11-bit passes; half of them come from a small pool with
+   gaps in every digit, so duplicates and multi-row leaves stay common. *)
 let gen_trie_input =
   QCheck2.Gen.(
+    let* wide = bool in
+    let key =
+      if not wide then int_range 0 7
+      else
+        oneof
+          [
+            int_range 0 (1 lsl 40);
+            (let* hi = int_range 0 3 in
+             let* lo = int_range 0 7 in
+             return ((hi lsl 38) lor (lo lsl 12) lor lo));
+          ]
+    in
     list_size (int_range 0 80)
-      (let* k0 = int_range 0 7 in
-       let* k1 = int_range 0 7 in
+      (let* k0 = key in
+       let* k1 = key in
        let* g = int_range 0 3 in
        let* v = int_range (-5) 5 in
        return (k0, k1, g, float_of_int v)))

@@ -143,32 +143,84 @@ let test_table_validation () =
 (* ---- trie ---- *)
 
 (* Model: a trie built over (keys, rows) must enumerate exactly the sorted
-   distinct key tuples, with multiplicities summing the row count. *)
+   distinct key tuples, and each leaf must hold the groups a fold over the
+   rows in input order produces: one group per distinct GROUP BY code,
+   groups in first-occurrence order, [vec] and [mult] folded row by row.
+   The folds are order-sensitive in floating point, so the comparison is
+   exact and pins the stable fold order. Key regimes cover one and several
+   11-bit radix passes per level (narrow and wide keys), a single repeated
+   key, and rows that arrive already sorted or in reverse. *)
 let qcheck_trie_vs_model =
   let gen =
     QCheck2.Gen.(
       let* nlevels = int_range 1 3 in
-      let* nrows = int_range 0 60 in
-      let* data = list_repeat (nlevels * nrows) (int_range 0 8) in
-      return (nlevels, nrows, Array.of_list data))
+      let* nrows = frequency [ (4, int_range 0 60); (1, int_range 61 3000) ] in
+      let* regime = oneofl [ `Narrow; `Wide; `Single; `Sorted; `Reverse ] in
+      let* with_aggs = bool in
+      let* ncodes = int_range 0 1 in
+      let key = if regime = `Narrow then int_range 0 8 else int_range 0 (1 lsl 40) in
+      let* tuples =
+        match regime with
+        | `Single ->
+            let* t = list_repeat nlevels key in
+            return (List.init nrows (fun _ -> t))
+        | _ -> list_repeat nrows (list_repeat nlevels key)
+      in
+      let tuples =
+        match regime with
+        | `Sorted -> List.sort compare tuples
+        | `Reverse -> List.rev (List.sort compare tuples)
+        | `Narrow | `Wide | `Single -> tuples
+      in
+      let* codes = list_repeat nrows (int_range 0 2) in
+      return (nlevels, nrows, Array.of_list tuples, Array.of_list codes, with_aggs, ncodes))
   in
   Helpers.qtest ~count:300 "trie enumerates sorted distinct tuples" gen
-    (fun (nlevels, nrows, data) ->
-      let keys = Array.init nlevels (fun l -> Array.init nrows (fun r -> data.((l * nrows) + r))) in
+    (fun (nlevels, nrows, tuples, codes, with_aggs, ncodes) ->
+      let keys = Array.init nlevels (fun l -> Array.map (fun t -> List.nth t l) tuples) in
       let rows = Array.init nrows Fun.id in
-      let trie = Trie.build ~keys ~rows () in
+      let group_cols = Array.make ncodes codes in
+      (* Order-sensitive combines: float sums of unequal magnitudes, and a
+         non-associative decay. *)
+      let combs = [| ( +. ); (fun a b -> (a *. 0.5) +. b) |] in
+      let evals = [| (fun r -> 1.0 /. float_of_int (r + 3)); (fun r -> float_of_int (r mod 7)) |] in
+      let mults r = 1.0 +. (1.0 /. float_of_int (r + 1)) in
+      let trie =
+        if with_aggs then
+          Trie.build ~keys ~rows ~group_cols ~aggs:(Array.map2 (fun c e -> (c, e)) combs evals) ~mults ()
+        else Trie.build ~keys ~rows ~group_cols ()
+      in
+      (* The model: fold every row, in input order, into its (tuple, codes)
+         group. *)
+      let model = Hashtbl.create 64 in
+      let order = ref [] in
+      Array.iteri
+        (fun r t ->
+          let gcodes = Array.map (fun col -> col.(r)) group_cols in
+          let m = if with_aggs then mults r else 1.0 in
+          match Hashtbl.find_opt model (t, gcodes) with
+          | Some (vec, mult) ->
+              if with_aggs then Array.iteri (fun j c -> vec.(j) <- c vec.(j) (evals.(j) r)) combs;
+              mult := !mult +. m
+          | None ->
+              let vec = if with_aggs then Array.map (fun e -> e r) evals else [||] in
+              Hashtbl.replace model (t, gcodes) (vec, ref m);
+              order := (t, gcodes) :: !order)
+        tuples;
+      let firsts = List.rev !order in
+      (* A stable sort by tuple keeps first-occurrence order within a tuple. *)
       let expected =
-        List.init nrows (fun r -> List.init nlevels (fun l -> keys.(l).(r)))
-        |> List.sort_uniq compare
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) firsts
+        |> List.map (fun (t, gcodes) ->
+               let vec, mult = Hashtbl.find model (t, gcodes) in
+               (t, gcodes, vec, !mult))
       in
       let got = ref [] in
-      Trie.iter_tuples trie (fun tup _ -> got := Array.to_list tup :: !got);
+      Trie.iter_tuples trie (fun tup g ->
+          got := (Array.to_list tup, g.Trie.codes, g.Trie.vec, g.Trie.mult) :: !got);
       let got = List.rev !got in
-      let mult_total = ref 0.0 in
-      Trie.iter_tuples trie (fun _ g -> mult_total := !mult_total +. g.Trie.mult);
-      got = expected
-      && Trie.cardinality trie = List.length expected
-      && int_of_float !mult_total = nrows)
+      let ndistinct = List.length (List.sort_uniq compare (Array.to_list tuples)) in
+      got = expected && Trie.cardinality trie = ndistinct)
 
 let test_trie_aggregation () =
   (* keys: one level; rows share keys; Sum/Min/Max pre-aggregation *)
