@@ -1,7 +1,6 @@
 (* Layout-specialized WCOJ kernel experiment.
 
-   Measures what the monomorphic set kernels buy over the generic
-   interpreter on the two shapes they target:
+   Times the set kernels on the two shapes they target:
 
      triangle   a count-star over a 3-cycle of one edge relation — every key
                 is referenced, the distinct-key tries are leaf-unit, so
@@ -19,19 +18,12 @@
    and [edge_m] (a full dense first level over sparse neighbor lists —
    bs∩uint at the top, uint∩uint below).
 
-   Two arms per cell on the same engine and tries: "specialized" is the
-   default configuration, "generic" sets [leaf_specialization = false]
-   and runs the materializing interpreter loop. Both produce identical
-   rows (the fuzzer's engine-generic-leaf evaluator holds them bit-equal);
-   only the inner loop differs.
-
-   Reading the table: the count-only triangle cells are where the kernels
-   matter (edge_d runs popcounted bs∩bs against a materialize-and-iterate
-   loop — expect ~10x). The chain-group cells on the sparse relations are
-   allocation-bound — the grouped relaxed-tail path allocates accumulators
-   sized by the 16k value domain, dwarfing the one uint∩uint per query —
-   so their ratio hovers around 1.0x and swings ±15% with GC drift even
-   after the priming and compaction below. *)
+   One timing per cell, default configuration (EXPERIMENTS.md sets them
+   beside a materializing leaf loop's BENCH_10.json timings). The
+   chain-group cells on the sparse relations are allocation-bound — the grouped relaxed-tail
+   path allocates accumulators sized by the 16k value domain, dwarfing the
+   one uint∩uint per query — so they swing with GC drift even after the
+   priming and compaction below. *)
 
 module C = Common
 module L = Levelheaded
@@ -110,46 +102,22 @@ let run params =
   let budget =
     Lh_util.Budget.create ~max_live_words:params.C.mem_words ~max_seconds:params.C.timeout ()
   in
-  let arm cfg sql () =
-    let saved = L.Engine.config eng in
-    L.Engine.set_config eng { cfg with L.Config.budget };
-    Fun.protect
-      ~finally:(fun () -> L.Engine.set_config eng saved)
-      (fun () -> ignore (L.Engine.query eng sql))
-  in
-  let d = L.Config.default in
-  let generic = { d with L.Config.leaf_specialization = false } in
-  C.print_header "Set-layout kernels — specialized vs generic leaves"
-    [ "specialized"; "generic"; "speedup" ];
+  L.Engine.set_config eng { L.Config.default with L.Config.budget };
+  let arm sql () = ignore (L.Engine.query eng sql) in
+  C.print_header "Set-layout kernels — specialized WCOJ leaves" [ "specialized" ];
   List.map
     (fun (label, sql) ->
-      (* Prime both arms before measuring either: the first execution of a
-         cell builds tries for its attribute order and grows the major heap
-         (the grouped cells allocate sparse accumulators sized by the value
-         domain). Without this, whichever arm runs second inherits the warm
-         heap and wins by ~1.4x on allocation-bound cells regardless of
-         which kernel it uses. *)
-      arm d sql ();
-      arm generic sql ();
-      (* Compact before each arm so both start from the same heap: the
-         grouped edge_s cell allocates ~130KB of accumulators per run, and
-         GC pacing drift across 30 runs otherwise still favors the
-         second-measured arm by ~10-20%. *)
+      (* Prime before measuring: the first execution of a cell builds
+         tries for its attribute order and grows the major heap (the
+         grouped cells allocate sparse accumulators sized by the value
+         domain). Compact so every cell starts from the same heap. *)
+      arm sql ();
       Gc.compact ();
       let spec =
-        C.measured ~budget ~runs:params.C.runs ~system:"specialized" ~sql (arm d sql)
+        C.measured ~budget ~runs:params.C.runs ~system:"specialized" ~sql (arm sql)
       in
-      Gc.compact ();
-      let gen =
-        C.measured ~budget ~runs:params.C.runs ~system:"generic" ~sql (arm generic sql)
-      in
-      let speedup =
-        match (spec, gen) with
-        | C.Time ts, C.Time tg when ts > 0.0 -> Printf.sprintf "%.2fx" (tg /. ts)
-        | _ -> "-"
-      in
-      C.print_row label [ C.outcome_to_string spec; C.outcome_to_string gen; speedup ];
-      (label, spec, gen))
+      C.print_row label [ C.outcome_to_string spec ];
+      (label, spec))
     (List.concat_map
        (fun rel ->
          [

@@ -91,7 +91,8 @@ dune exec bin/lhfuzz.exe -- --semiring --seed 42 --count "${LH_FUZZ_COUNT:-1000}
 # the set-kernel layout regimes (dense bitset roots, all-uint over a wide
 # domain, dense-over-sparse) with leaf-unit tries, so generated joins
 # exercise the count-only and streaming WCOJ leaves against the
-# engine-generic-leaf evaluator and the oracle (see lib/qgen/dataset.ml).
+# brute-force oracle, the reference every evaluator is checked against
+# (see lib/qgen/dataset.ml).
 dune exec bin/lhfuzz.exe -- --layout-stress --seed 42 --count "${LH_FUZZ_COUNT:-1000}" --quiet
 # Same seed with the plan cache disabled: every query takes the same
 # normalize -> plan -> bind path, but its plan is built per query and
@@ -127,20 +128,20 @@ LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts 
 # batches may be absent or complete, never partial. LH_KILL_COUNT
 # scales the batches per scenario (default 6); pinned seed for CI.
 dune exec bin/lhfuzz.exe -- --kill-restart --seed 42 --quiet
-# Bench-baseline regression gate (see BENCH_14.json / EXPERIMENTS.md).
+# Bench-baseline regression gate (see BENCH_15.json / EXPERIMENTS.md).
 # Deterministic legs first: the baseline must compare clean against
 # itself, and the gate must actually fire on a synthetic 3x slowdown.
-dune exec bench/main.exe -- --compare BENCH_14.json --compare-with BENCH_14.json
-if dune exec bench/main.exe -- --compare BENCH_14.json --compare-with BENCH_14.json --compare-slowdown 3 > /dev/null; then
+dune exec bench/main.exe -- --compare BENCH_15.json --compare-with BENCH_15.json
+if dune exec bench/main.exe -- --compare BENCH_15.json --compare-with BENCH_15.json --compare-slowdown 3 > /dev/null; then
   echo "ci FAIL: --compare accepted a 3x slowdown" >&2
   exit 1
 fi
 # EXPERIMENTS.md's Table II BI subsection is generated from the
 # baseline's cells; fail if the committed text drifted from them.
-bench_report=$(dune exec bench/main.exe -- --report BENCH_14.json)
-bench_doc=$(sed -n '/^<!-- generated: bench --report BENCH_14.json -->$/,/^<!-- end generated -->$/p' EXPERIMENTS.md | sed '1d;$d')
+bench_report=$(dune exec bench/main.exe -- --report BENCH_15.json)
+bench_doc=$(sed -n '/^<!-- generated: bench --report BENCH_15.json -->$/,/^<!-- end generated -->$/p' EXPERIMENTS.md | sed '1d;$d')
 if [ "$bench_report" != "$bench_doc" ]; then
-  echo "ci FAIL: EXPERIMENTS.md Table II BI subsection differs from bench --report BENCH_14.json" >&2
+  echo "ci FAIL: EXPERIMENTS.md Table II BI subsection differs from bench --report BENCH_15.json" >&2
   exit 1
 fi
 # Live leg: re-run the baseline's experiment subset (now including the
@@ -149,9 +150,9 @@ fi
 # compare. Warn-only — shared CI runners are too noisy for a hard
 # wall-clock gate; the comparison text still lands in the CI log.
 if dune exec bench/main.exe -- table2-bi fig5a fig5c fig6 table4 repeated concurrency layouts graph durability --sf 0.01 --runs 3 \
-     --json /tmp/lh_bench_ci.json --compare BENCH_14.json > /tmp/lh_bench_ci.log 2>&1; then
+     --json /tmp/lh_bench_ci.json --compare BENCH_15.json > /tmp/lh_bench_ci.log 2>&1; then
   tail -n 1 /tmp/lh_bench_ci.log
 else
-  echo "ci warn: bench regressed vs BENCH_14.json (soft gate):" >&2
+  echo "ci warn: bench regressed vs BENCH_15.json (soft gate):" >&2
   grep -E '^(REGRESSION|baseline compare)' /tmp/lh_bench_ci.log >&2 || tail -n 20 /tmp/lh_bench_ci.log >&2
 fi

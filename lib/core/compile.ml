@@ -193,11 +193,10 @@ let code_dtype tbl ~resolve = function
 
 (* ---------------- WCOJ leaf disposition ----------------
 
-   The prepare-time half of kernel specialization (the rest lives in
-   Executor, which caches the resolved disposition on the plan node and
-   re-validates it against the bound tries' statistics each execution).
-   This is a pure decision over plan/trie facts so it can be unit-tested
-   without an engine. *)
+   The executor asks this once per bag execution, from the bound tries'
+   statistics (bind-time filters rebuild tries under the same plan, so
+   the answer is never cached). A pure decision over plan/trie facts, so
+   it can be unit-tested without an engine. *)
 
 module Leaf = struct
   type mode =
@@ -207,12 +206,8 @@ module Leaf = struct
     | Stream
         (** stream innermost matches through [Intersect.foreach_inter]
             straight into leaf aggregation *)
-    | Generic  (** specialization disabled: materialize then iterate *)
 
-  let mode_to_string = function
-    | Count -> "count"
-    | Stream -> "stream"
-    | Generic -> "generic"
+  let mode_to_string = function Count -> "count" | Stream -> "stream"
 
   (* Count-only leaves are sound exactly when
      - every relation whose trie ends at the innermost position has unit
@@ -232,9 +227,8 @@ module Leaf = struct
      - the relaxed-tail sparse accumulator is off (it indexes output by the
        innermost value). *)
   let mode ~leaf_unit ~scalable ~relaxed_tail ~boundary ~group_uses_last ~npos =
-    if npos < 1 then Generic
-    else if
-      leaf_unit && scalable && (not relaxed_tail) && (not group_uses_last)
+    if
+      npos >= 1 && leaf_unit && scalable && (not relaxed_tail) && (not group_uses_last)
       && (match boundary with Some m -> m <= npos - 1 | None -> true)
     then Count
     else Stream

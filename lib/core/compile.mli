@@ -32,12 +32,12 @@ val pred :
 val const_value : Lh_sql.Ast.expr -> Lh_storage.Dtype.value option
 (** Evaluates a column-free expression to a constant, if it is one. *)
 
-(** Prepare-time WCOJ leaf disposition: decides, from plan shape and
-    trie-node statistics, how the executor's innermost loop treats the last
-    attribute position. Pure, so the property tests can drive it directly;
-    the executor caches the result per plan node and re-validates it
-    against the bound tries each execution (plan-cache epochs rebuild the
-    node, so stale dispositions cannot survive an ingest). *)
+(** WCOJ leaf disposition: decides, from plan shape and trie-node
+    statistics, how the executor's innermost loop treats the last
+    attribute position. The executor calls {!Leaf.mode} once per bag
+    execution against the bound tries (bind-time filters can change leaf
+    statistics under one plan, so nothing is cached). Pure, so the tests
+    drive it directly. *)
 module Leaf : sig
   type mode =
     | Count
@@ -46,7 +46,6 @@ module Leaf : sig
     | Stream
         (** stream innermost matches through [Intersect.foreach_inter]
             straight into leaf aggregation *)
-    | Generic  (** specialization disabled: materialize then iterate *)
 
   val mode_to_string : mode -> string
 
@@ -67,7 +66,6 @@ module Leaf : sig
       [relaxed_tail]: the §V-A2 sparse-accumulator tail is active;
       [boundary]: the sorted-emit group-prefix length, when that path runs;
       [group_uses_last]: some GROUP BY source reads attribute position
-      [npos - 1]. Returns [Count] when a count-only leaf is sound, else
-      [Stream]; never returns [Generic] (that is the caller's
-      configuration-off fallback). *)
+      [npos - 1]. Returns [Count] when a count-only leaf is sound (and
+      [npos >= 1]), else [Stream]. *)
 end

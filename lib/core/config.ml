@@ -5,7 +5,6 @@ type t = {
   attr_order : attr_order_policy;
   relax_materialized_first : bool;
   sorted_emit : bool;
-  leaf_specialization : bool;
   blas_targeting : bool;
   ghd_heuristics : bool;
   domains : int;
@@ -37,7 +36,6 @@ let default =
     attr_order = Cost_based;
     relax_materialized_first = true;
     sorted_emit = true;
-    leaf_specialization = true;
     blas_targeting = true;
     ghd_heuristics = true;
     domains = Lh_util.Parfor.default_domains ();
@@ -53,7 +51,6 @@ let logicblox_like =
     attribute_elimination = false;
     attr_order = Naive;
     relax_materialized_first = false;
-    leaf_specialization = false;
     blas_targeting = false;
     ghd_heuristics = false;
   }

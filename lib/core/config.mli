@@ -23,14 +23,6 @@ type t = {
       (** stream GROUP BY prefixes with a sparse accumulator instead of
           hashing the output — the path that keeps SMM's output out of a
           hash table. Disable to measure its contribution. *)
-  leaf_specialization : bool;
-      (** pin layout-specialized WCOJ kernels per plan: buffered
-          [inter_into] at interior trie positions, streaming
-          [foreach_inter] leaves, and count-only leaves for count-star-shaped
-          aggregates over duplicate-free relations. Execution-time only —
-          changing it keeps cached plans (the kernel disposition is
-          re-resolved per execution). Disable for the materializing
-          baseline the [layouts] bench experiment measures against. *)
   blas_targeting : bool;  (** §III-D: hand dense LA kernels to the BLAS substrate *)
   ghd_heuristics : bool;  (** §IV-B tie-breaking among equal-FHW GHDs *)
   domains : int;
@@ -61,5 +53,6 @@ type t = {
 val default : t
 val logicblox_like : t
 (** WCOJ engine without LevelHeaded's optimizations: no attribute
-    elimination, naive attribute order, no relaxation, no leaf
-    specialization, no BLAS targeting. *)
+    elimination, naive attribute order, no relaxation, no GHD
+    tie-breaking, no BLAS targeting. Its WCOJ leaves are the same
+    specialized kernels the default runs. *)

@@ -492,15 +492,14 @@ let explain_of lq decided =
   Format.pp_print_flush fmt ();
   { epath = path; efhw = fhw; etext = Buffer.contents buf }
 
-let wcoj_summary (lq : Logical.t) (ghd : Ghd.t) (pnode : Executor.pnode) =
+(* [leaf] is the root bag's leaf disposition, known once it has executed. *)
+let wcoj_summary ?leaf (lq : Logical.t) (ghd : Ghd.t) (pnode : Executor.pnode) =
   let names =
     List.map (fun i -> lq.Logical.vertices.(i).Logical.vname) pnode.Executor.porder
   in
-  (* The leaf kernel disposition is resolved (and cached on the pnode) at
-     execution time; before the first execution there is nothing to show. *)
   let kernel =
-    match pnode.Executor.pkernel with
-    | Some k -> Printf.sprintf " leaf=%s" (Compile.Leaf.mode_to_string k.Executor.k_mode)
+    match leaf with
+    | Some m -> " leaf=" ^ Compile.Leaf.mode_to_string m
     | None -> ""
   in
   (* Chosen semiring per live aggregate slot. *)
@@ -543,15 +542,14 @@ let execute t ~name lq decided =
         Obs.span "execute.blas" ~record:(Hist.observe_always h_blas) (fun () ->
             Blas_bridge.execute ~domains:(max 1 t.cfg.Config.domains)
               ~budget:t.cfg.Config.budget k)
-    | Use_wcoj (_, pnode) ->
-        Obs.span "execute.wcoj" ~record:(Hist.observe_always h_wcoj) (fun () ->
-            Executor.run t.cfg ~cache:t.trie_cache lq pnode)
+    | Use_wcoj (ghd, pnode) ->
+        let rows, leaf =
+          Obs.span "execute.wcoj" ~record:(Hist.observe_always h_wcoj) (fun () ->
+              Executor.run t.cfg ~cache:t.trie_cache lq pnode)
+        in
+        (match t.prof with Some a -> a.a_plan <- wcoj_summary ~leaf lq ghd pnode | None -> ());
+        rows
   in
-  (* Refresh the profile's plan line now that execution resolved the leaf
-     kernel disposition onto the pnode. *)
-  (match (t.prof, decided) with
-  | Some a, Use_wcoj (ghd, pnode) -> a.a_plan <- wcoj_summary lq ghd pnode
-  | _ -> ());
   Obs.span "finalize" ~record:(Hist.observe_always h_finalize) (fun () ->
       let result = finalize_rows lq rows ~dict:(Catalog.dict t.cat) ~name in
       Obs.add c_rows_emitted result.T.nrows;

@@ -44,13 +44,6 @@ let fault_fold = Lh_fault.Fault.site "exec.semiring.fold"
 (* ------------------------------------------------------------------ *)
 (* Physical planning                                                    *)
 
-(* The kernel disposition resolved for one plan node: cached on the pnode
-   (and therefore in the engine's plan cache, invalidated by its epoch
-   machinery, which rebuilds pnodes on revalidation) and re-validated per
-   execution against a cheap signature of the bound tries — bind-time
-   filters can change trie statistics under the same plan. *)
-type kernel_cache = { k_sig : string; k_mode : Compile.Leaf.mode }
-
 type pnode = {
   pbag : Ghd.bag;
   porder : int list;
@@ -58,7 +51,6 @@ type pnode = {
   pmaterialized : int list;
   pchildren : pnode list;
   pcost : float;
-  mutable pkernel : kernel_cache option;
 }
 
 let rec min_card (lq : Logical.t) (bag : Ghd.bag) =
@@ -132,7 +124,6 @@ let physical (cfg : Config.t) (lq : Logical.t) ~dense_of (ghd : Ghd.t) =
       pmaterialized = materialized;
       pchildren = children;
       pcost = res.Attr_order.ocost;
-      pkernel = None;
     }
   in
   assign ghd.Ghd.root ~materialized:group_keys
@@ -193,6 +184,8 @@ let alias_gitems_sig (lq : Logical.t) alias =
   |> String.concat ";"
 
 
+(* Only ever keys filter-less tries (see [build_base_xrel]), so the edge's
+   filter is not part of the key. *)
 let trie_signature (lq : Logical.t) ~order (edge : Logical.edge) =
   (* Key levels identified by their column indices: vertex ids are
      query-local and would collide across different queries. *)
@@ -211,9 +204,8 @@ let trie_signature (lq : Logical.t) ~order (edge : Logical.edge) =
   let gitems_sig =
     alias_gitems_sig lq edge.Logical.alias
   in
-  Format.asprintf "%s/%d|%s|%s|%s|%s" edge.Logical.table.T.name edge.Logical.table.T.nrows
+  Format.asprintf "%s/%d|%s|%s|%s" edge.Logical.table.T.name edge.Logical.table.T.nrows
     (String.concat "," (List.map string_of_int levels))
-    (match edge.Logical.filter with Some p -> Format.asprintf "%a" Ast.pp_pred p | None -> "")
     slots_sig gitems_sig
 
 let build_base_xrel ?cache ~domains (lq : Logical.t) ~order (edge : Logical.edge) =
@@ -316,57 +308,26 @@ type bag_input = {
    the trie per match. *)
 let unit_groups = [| { Trie.codes = [||]; vec = [||]; mult = 1.0 } |]
 
-(* Per-execution signature of everything the leaf disposition reads from
-   the bound tries: the sorted-emit shape and, for each relation ending at
-   the innermost position, whether its leaves are unit groups. Bind-time
-   filters rebuild tries, so the pnode's cached disposition is checked
-   against this string each execution. *)
-let kernel_signature (rels : xrel array) ~npos ~boundary ~relaxed_tail =
-  let b = Buffer.create (Array.length rels + 8) in
-  Buffer.add_string b (match boundary with None -> "h" | Some m -> string_of_int m);
-  Buffer.add_char b (if relaxed_tail then 'r' else '.');
-  Array.iter
-    (fun (r : xrel) ->
-      let ends_last =
-        match List.rev r.xlevels with last :: _ -> last = npos - 1 | [] -> false
-      in
-      Buffer.add_char b
-        (if not ends_last then '-' else if r.xtrie.Trie.leaf_unit then 'u' else 'x'))
-    rels;
-  Buffer.contents b
-
-(* Resolve the innermost-position kernel disposition for one plan node,
-   going through the pnode's cache (same signature -> pinned closure set).
-   Generic (specialization off) bypasses the cache: the toggle is
-   execution-time and must not leak into cached plans. *)
-let resolve_kmode (cfg : Config.t) (node : pnode) (rels : xrel array) ~npos ~srs ~gb ~boundary
-    ~relaxed_tail =
-  if (not cfg.Config.leaf_specialization) || npos = 0 then Compile.Leaf.Generic
-  else begin
-    let sig_ = kernel_signature rels ~npos ~boundary ~relaxed_tail in
-    match node.pkernel with
-    | Some k when String.equal k.k_sig sig_ -> k.k_mode
-    | _ ->
-        let leaf_unit =
-          Array.for_all
-            (fun (r : xrel) ->
-              match List.rev r.xlevels with
-              | last :: _ when last = npos - 1 -> r.xtrie.Trie.leaf_unit
-              | _ -> true)
-            rels
-        in
-        (* Count-only soundness per semiring: every slot must absorb the
-           factor n either by closed form (Scale) or idempotence. *)
-        let scalable = Array.for_all Semiring.scalable srs in
-        let group_uses_last =
-          Array.exists (function From_pos p -> p = npos - 1 | From_rel _ -> false) gb
-        in
-        let mode =
-          Compile.Leaf.mode ~leaf_unit ~scalable ~relaxed_tail ~boundary ~group_uses_last ~npos
-        in
-        node.pkernel <- Some { k_sig = sig_; k_mode = mode };
-        mode
-  end
+(* The innermost-position leaf disposition of one bag execution, read
+   from the bound tries: bind-time filters rebuild tries under the same
+   plan (a filter that drops duplicate keys makes the leaves unit), so it
+   is decided afresh each execution. *)
+let leaf_mode (rels : xrel array) ~npos ~srs ~gb ~boundary ~relaxed_tail =
+  let leaf_unit =
+    Array.for_all
+      (fun (r : xrel) ->
+        match List.rev r.xlevels with
+        | last :: _ when last = npos - 1 -> r.xtrie.Trie.leaf_unit
+        | _ -> true)
+      rels
+  in
+  (* Count-only soundness per semiring: every slot must absorb the
+     factor n either by closed form (Scale) or idempotence. *)
+  let scalable = Array.for_all Semiring.scalable srs in
+  let group_uses_last =
+    Array.exists (function From_pos p -> p = npos - 1 | From_rel _ -> false) gb
+  in
+  Compile.Leaf.mode ~leaf_unit ~scalable ~relaxed_tail ~boundary ~group_uses_last ~npos
 
 (* Per-domain mutable execution state. *)
 type ctx = {
@@ -412,12 +373,8 @@ let make_ctx (input : bag_input) =
     scratch = Array.make (max input.nslots_x 1) 0.0;
     ticks = 0;
     isects = 0;
-    ibufs =
-      (if input.kmode = Compile.Leaf.Generic then [||]
-       else Array.init (max input.npos 1) (fun _ -> Vec.Int.create ()));
-    itmps =
-      (if input.kmode = Compile.Leaf.Generic then [||]
-       else Array.init (max input.npos 1) (fun _ -> Vec.Int.create ()));
+    ibufs = Array.init (max input.npos 1) (fun _ -> Vec.Int.create ());
+    itmps = Array.init (max input.npos 1) (fun _ -> Vec.Int.create ());
     ibuf_used = Array.make (max input.npos 1) false;
     count_leaves = 0;
     breuse = 0;
@@ -502,26 +459,34 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         combos ctx (ri + 1) fold
       done
   in
-  let leaf ctx fold =
-    Lh_fault.Fault.hit fault_leaf;
-    ctx.ticks <- ctx.ticks + 1;
-    if ctx.ticks land 1023 = 0 then begin
+  (* Overwhelmingly common case: one leaf group per relation (no GROUP BY
+     annotations on duplicate keys) — pick them and skip the combination
+     search. *)
+  let rec all_single ctx ri =
+    if ri = nrels then true
+    else
+      let gs = ctx.cur_groups.(ri) in
+      if Array.length gs = 1 then begin
+        ctx.picked.(ri) <- Array.unsafe_get gs 0;
+        all_single ctx (ri + 1)
+      end
+      else false
+  in
+  let emit ctx fold = if all_single ctx 0 then emit_combo ctx fold else combos ctx 0 fold in
+  (* [n] leaf matches: the budget is checked every 1024 ticks, whether the
+     matches arrive one per leaf or counted. *)
+  let tick ctx n =
+    ctx.ticks <- ctx.ticks + n;
+    if ctx.ticks >= ctx.next_tick_check then begin
+      ctx.next_tick_check <- ctx.ticks + 1024;
       Obs.incr c_budget_ticks;
       Lh_util.Budget.check budget
-    end;
-    (* Overwhelmingly common case: one leaf group per relation (no GROUP
-       BY annotations on duplicate keys) — skip the combination search. *)
-    let rec all_single ri =
-      if ri = nrels then true
-      else
-        let gs = ctx.cur_groups.(ri) in
-        if Array.length gs = 1 then begin
-          ctx.picked.(ri) <- Array.unsafe_get gs 0;
-          all_single (ri + 1)
-        end
-        else false
-    in
-    if all_single 0 then emit_combo ctx fold else combos ctx 0 fold
+    end
+  in
+  let leaf ctx fold =
+    Lh_fault.Fault.hit fault_leaf;
+    tick ctx 1;
+    emit ctx fold
   in
 
   let build_key ctx =
@@ -573,21 +538,6 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
       else ctx.stacks.(ri).(l + 1) <- node.Trie.children.(rank)
     done
   in
-  let isect ctx pos =
-    let rs = parts.(pos) and ls = plevel.(pos) in
-    match Array.length rs with
-    | 0 -> assert false
-    | 1 -> ctx.stacks.(rs.(0)).(ls.(0)).Trie.set
-    | 2 ->
-        ctx.isects <- ctx.isects + 1;
-        let a = ctx.stacks.(rs.(0)).(ls.(0)).Trie.set in
-        let b = ctx.stacks.(rs.(1)).(ls.(1)).Trie.set in
-        Intersect.inter a b
-    | n ->
-        ctx.isects <- ctx.isects + 1;
-        let sets = List.init n (fun k -> ctx.stacks.(rs.(k)).(ls.(k)).Trie.set) in
-        Intersect.inter_many sets
-  in
 
   let prefix_key ctx m =
     (* Group key for the sorted path: the first m positions, plus the last
@@ -621,34 +571,18 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
     done;
     fold_for_leaf ctx
   in
-  (* The count-only leaf: n matches folded in one leaf invocation. Ticks
-     advance by n so the budget cadence matches the generic path. *)
+  (* The count-only leaf: n matches folded in one leaf invocation. *)
   let leaf_counted ctx n =
     Lh_fault.Fault.hit fault_count;
     ctx.count_leaves <- ctx.count_leaves + 1;
     if n > 0 then begin
-      ctx.ticks <- ctx.ticks + n;
-      if ctx.ticks >= ctx.next_tick_check then begin
-        ctx.next_tick_check <- ctx.ticks + 1024;
-        Obs.incr c_budget_ticks;
-        Lh_util.Budget.check budget
-      end;
+      tick ctx n;
       ctx.count_n <- float_of_int n;
       let rs = parts.(npos - 1) in
       for k = 0 to Array.length rs - 1 do
         ctx.cur_groups.(rs.(k)) <- unit_groups
       done;
-      let rec all_single ri =
-        if ri = nrels then true
-        else
-          let gs = ctx.cur_groups.(ri) in
-          if Array.length gs = 1 then begin
-            ctx.picked.(ri) <- Array.unsafe_get gs 0;
-            all_single (ri + 1)
-          end
-          else false
-      in
-      if all_single 0 then emit_combo ctx fold_counted else combos ctx 0 fold_counted
+      emit ctx fold_counted
     end
   in
   (* Buffered intersection at [pos] into the position's pinned buffer:
@@ -668,6 +602,15 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         Intersect.inter_many_into buf ctx.itmps.(pos) sets);
     buf
   in
+  (* The outermost position's matches, which the parallel drivers split:
+     the lone participant's set, or a copy of the buffered intersection. *)
+  let first_values ctx =
+    match parts.(0) with
+    | [| ri |] -> Set_.to_array ctx.stacks.(ri).(plevel.(0).(0)).Trie.set
+    | _ -> Vec.Int.to_array (inter_to_buf ctx 0)
+  in
+  (* The one position whose matches are counted rather than iterated. *)
+  let count_at = match input.kmode with Compile.Leaf.Count -> npos - 1 | Stream -> -1 in
 
   let rec walk ctx pos ~wrapped =
     (* The boundary test comes first: when the GROUP BY covers every
@@ -703,7 +646,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
             touched)
     end
     else if pos = npos then leaf ctx fold_for_leaf
-    else if pos = npos - 1 && input.kmode = Compile.Leaf.Count then begin
+    else if pos = count_at then begin
       (* Count-only innermost position: the intersection cardinality is the
          only thing the leaf needs — never materialize nor iterate it. *)
       let rs = parts.(pos) and ls = plevel.(pos) in
@@ -735,43 +678,32 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
           walk ctx (pos + 1) ~wrapped:false)
         node.Trie.set
     end
-    else if input.kmode <> Compile.Leaf.Generic then begin
-      if pos = npos - 1 && Array.length parts.(pos) = 2 then begin
-        (* Innermost two-way intersection: stream matches straight into
-           leaf aggregation without touching a buffer. *)
-        ctx.isects <- ctx.isects + 1;
-        let rs = parts.(pos) and ls = plevel.(pos) in
-        let a = ctx.stacks.(rs.(0)).(ls.(0)).Trie.set in
-        let b = ctx.stacks.(rs.(1)).(ls.(1)).Trie.set in
-        Intersect.foreach_inter
-          (fun v ->
-            ctx.vals.(pos) <- v;
-            advance ctx pos v;
-            walk ctx (pos + 1) ~wrapped:false)
-          a b
-      end
-      else begin
-        (* Interior (or n-ary innermost) position: intersect into the
-           position's pinned buffer and iterate the live prefix. *)
-        let buf = inter_to_buf ctx pos in
-        let arr = Vec.Int.unsafe_inner buf in
-        let len = Vec.Int.length buf in
-        for i = 0 to len - 1 do
-          let v = Array.unsafe_get arr i in
-          ctx.vals.(pos) <- v;
-          advance ctx pos v;
-          walk ctx (pos + 1) ~wrapped:false
-        done
-      end
-    end
-    else begin
-      let s = isect ctx pos in
-      Set_.iter
+    else if pos = npos - 1 && Array.length parts.(pos) = 2 then begin
+      (* Innermost two-way intersection: stream matches straight into leaf
+         aggregation without touching a buffer. *)
+      ctx.isects <- ctx.isects + 1;
+      let rs = parts.(pos) and ls = plevel.(pos) in
+      let a = ctx.stacks.(rs.(0)).(ls.(0)).Trie.set in
+      let b = ctx.stacks.(rs.(1)).(ls.(1)).Trie.set in
+      Intersect.foreach_inter
         (fun v ->
           ctx.vals.(pos) <- v;
           advance ctx pos v;
           walk ctx (pos + 1) ~wrapped:false)
-        s
+        a b
+    end
+    else begin
+      (* Interior (or n-ary innermost) position: intersect into the
+         position's pinned buffer and iterate the live prefix. *)
+      let buf = inter_to_buf ctx pos in
+      let arr = Vec.Int.unsafe_inner buf in
+      let len = Vec.Int.length buf in
+      for i = 0 to len - 1 do
+        let v = Array.unsafe_get arr i in
+        ctx.vals.(pos) <- v;
+        advance ctx pos v;
+        walk ctx (pos + 1) ~wrapped:false
+      done
     end
   in
 
@@ -826,7 +758,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
     if domains > 1 && scalar then begin
       (* Parallel scalar: chunk the first intersection, merge accums. *)
       let proto = make_ctx input in
-      let first = Set_.to_array (isect proto 0) in
+      let first = first_values proto in
       let merged =
         Lh_util.Parfor.map_reduce ~domains ~n:(Array.length first)
           ~init:(fun () ->
@@ -862,7 +794,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
   else begin
     (* Parallel over the outermost intersection (§III-D). *)
     let proto = make_ctx input in
-    let first = Set_.to_array (isect proto 0) in
+    let first = first_values proto in
     let results =
       Lh_util.Parfor.map_reduce ~domains ~n:(Array.length first)
         ~init:(fun () -> make_ctx input)
@@ -934,7 +866,7 @@ let rec exec_child cfg ?cache (lq : Logical.t) (node : pnode) ~parent_order =
   let iface_sorted =
     List.filter (fun v -> List.mem v node.pbag.Ghd.interface) parent_order
   in
-  let rows, code_sources = run_bag cfg ?cache lq node ~role:(Child iface_sorted) in
+  let rows, code_sources, _ = run_bag cfg ?cache lq node ~role:(Child iface_sorted) in
   let nslots = Array.length lq.Logical.slots in
   let nkeys = List.length iface_sorted in
   let rows_arr = Array.of_list rows in
@@ -979,9 +911,9 @@ and pos_of order v =
   | Some i -> i
   | None -> failwith "Executor: vertex missing from order"
 
-(* Run the WCOJ for one node (children first, bottom-up). Returns the rows
-   and, for a child, the gitem ids appended as code columns after its
-   interface keys. *)
+(* Run the WCOJ for one node (children first, bottom-up). Returns the rows,
+   for a child the gitem ids appended as code columns after its interface
+   keys, and the node's leaf disposition. *)
 and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
   let order = node.porder in
   let derived = List.map (fun c -> exec_child cfg ?cache lq c ~parent_order:order) node.pchildren in
@@ -1050,6 +982,7 @@ and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
       end
       else (None, false, -1)
   in
+  let kmode = leaf_mode rels ~npos ~srs:srs_x ~gb ~boundary ~relaxed_tail in
   let input =
     {
       rels;
@@ -1066,7 +999,7 @@ and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
       boundary;
       spa_bound;
       relaxed_tail;
-      kmode = resolve_kmode cfg node rels ~npos ~srs:srs_x ~gb ~boundary ~relaxed_tail;
+      kmode;
     }
   in
   let rows =
@@ -1075,9 +1008,11 @@ and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
         [ ("rels", string_of_int (Array.length rels)); ("positions", string_of_int npos) ]
       (fun () -> exec_bag cfg input)
   in
-  (rows, appended_items)
+  (rows, appended_items, kmode)
 
-let run cfg ?cache lq root = fst (run_bag cfg ?cache lq root ~role:Root)
+let run cfg ?cache lq root =
+  let rows, _, kmode = run_bag cfg ?cache lq root ~role:Root in
+  (rows, kmode)
 
 (* ------------------------------------------------------------------ *)
 (* Scan path: no vertices (e.g. TPC-H Q1 and Q6)                        *)

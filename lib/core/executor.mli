@@ -7,7 +7,7 @@
     propagated as the global order).
 
     Execution is Yannakakis-style and bottom-up: every child bag runs the
-    generic WCOJ interpreter over its relations' tries and materializes a
+    WCOJ interpreter over its relations' tries and materializes a
     derived relation keyed by its interface, carrying all partial aggregate
     slots, its GROUP BY annotation codes and a multiplicity; the parent
     treats it exactly like a base relation. The root emits output groups.
@@ -16,16 +16,13 @@
     "sorted emit" path (with a Gustavson-style sparse accumulator for the
     §V-A2 relaxed orders) when the GROUP BY keys are a prefix of the
     attribute order — the path that lets sparse matrix multiplication run
-    without materializing a hash of the output. *)
+    without materializing a hash of the output.
 
-type kernel_cache = { k_sig : string; k_mode : Compile.Leaf.mode }
-(** The kernel disposition resolved for one plan node: which specialized
-    innermost-loop shape ({!Compile.Leaf.mode}) the executor pinned, plus
-    the signature of the bound tries it was resolved from (leaf-unit flags
-    and the sorted-emit shape). Cached on the {!pnode} — and therefore in
-    the engine's plan cache, whose epoch machinery rebuilds pnodes on
-    revalidation — and re-checked per execution because bind-time filters
-    rebuild tries under the same plan. *)
+    Interior positions intersect into per-position reusable buffers. The
+    innermost position runs one of two leaf modes, decided once per bag
+    execution by {!Compile.Leaf.mode}: [Count] folds the intersection's
+    cardinality without iterating it, [Stream] iterates its matches
+    straight into the fold. *)
 
 type pnode = {
   pbag : Ghd.bag;
@@ -34,8 +31,10 @@ type pnode = {
   pmaterialized : int list;
   pchildren : pnode list;
   pcost : float;
-  mutable pkernel : kernel_cache option;
 }
+(** One physical plan node. Immutable, so cached plans are shared safely
+    across executions and domains; what depends on the bound tries (the
+    leaf disposition) is decided per execution. *)
 
 val physical :
   Config.t -> Logical.t -> dense_of:(Logical.edge -> bool) -> Ghd.t -> pnode
@@ -50,15 +49,19 @@ type trie_cache = (string, Lh_storage.Trie.t) Hashtbl.t
 (** Hot-run trie cache: the §VI-A protocol measures hot runs back-to-back
     and excludes index creation, so the engine keeps per-query tries keyed
     by everything that determines their contents (table identity, key
-    levels, filter, carried codes, owned aggregates). *)
+    levels, carried codes, owned aggregates). Only filter-less tries are
+    cached: selections are query work. *)
 
 type row = { gcodes : int array; slots : float array }
 (** One output group: codes per GROUP BY item (vertex value for key items,
     annotation code for the rest) and one value per physical slot. *)
 
-val run : Config.t -> ?cache:trie_cache -> Logical.t -> pnode -> row list
+val run :
+  Config.t -> ?cache:trie_cache -> Logical.t -> pnode -> row list * Compile.Leaf.mode
 (** Execute the plan. Rows are sorted by [gcodes]. Scalar queries yield
-    exactly one row with empty [gcodes]. Budget violations raise the
+    exactly one row with empty [gcodes]. Also returns the root bag's leaf
+    disposition, which every bag decides once per execution from its bound
+    tries ({!Compile.Leaf.mode}). Budget violations raise the
     {!Lh_util.Budget} exceptions. *)
 
 val run_scan : Config.t -> Logical.t -> row list

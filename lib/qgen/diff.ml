@@ -84,9 +84,6 @@ let evaluators ~inject_bug eng =
     engine_with "engine-logicblox" L.Config.logicblox_like;
     engine_with "engine-unsorted-emit"
       { d with L.Config.sorted_emit = false; blas_targeting = false };
-    (* Same plans, generic WCOJ leaves: any disagreement with "engine" is a
-       bug in the layout-specialized count/stream kernels. *)
-    engine_with "engine-generic-leaf" { d with L.Config.leaf_specialization = false };
     pairwise "pairwise-pipelined" Lh_baseline.Pairwise.Pipelined;
     pairwise "pairwise-materializing" Lh_baseline.Pairwise.Materializing;
   ]

@@ -2,9 +2,8 @@
 
     Runs each generated query through every evaluator — the LevelHeaded
     engine under several configurations (serial and 4-domain, cost-based /
-    naive / worst attribute orders, LogicBlox-like, unsorted emit, generic
-    non-specialized WCOJ leaves), the
-    pairwise hash-join baselines (pipelined and materializing) — and
+    naive / worst attribute orders, LogicBlox-like, unsorted emit, plan
+    cache off, prepared), the pairwise hash-join baselines (pipelined and materializing) — and
     checks each row set against the brute-force {!Lh_baseline.Oracle}
     reference with {!Rows.diff} (float-tolerant, canonicalized order).
 

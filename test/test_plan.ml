@@ -297,6 +297,61 @@ let qcheck_choose_is_min =
       let all = AO.valid_orders ~relax:true ~vertices ~materialized ~global_order:[] in
       List.for_all (fun (o, _) -> res.AO.ocost <= AO.cost ~rels ~weights o +. 1e-9) all)
 
+(* ---- WCOJ leaf disposition (Compile.Leaf.mode) ---- *)
+
+(* A semiring whose ⊕-repetition has no closed form: count-only leaves
+   cannot apply the factor n after the fold. *)
+let opaque_sr =
+  { L.Semiring.sum_product with L.Semiring.name = "opaque_sum"; card = L.Semiring.Opaque }
+
+type leaf_args = {
+  leaf_unit : bool;
+  srs : L.Semiring.t array;
+  relaxed_tail : bool;
+  boundary : int option;
+  group_uses_last : bool;
+}
+
+let leaf_mode_of ~npos a =
+  L.Compile.Leaf.mode ~leaf_unit:a.leaf_unit
+    ~scalable:(Array.for_all L.Semiring.scalable a.srs)
+    ~relaxed_tail:a.relaxed_tail ~boundary:a.boundary ~group_uses_last:a.group_uses_last ~npos
+
+(* Each soundness condition, broken on its own or with others, forces
+   Stream; Count is returned only when every condition holds (all 2^5
+   combinations). *)
+let test_leaf_mode_table () =
+  let npos = 3 in
+  let sound =
+    {
+      leaf_unit = true;
+      srs = [| L.Semiring.sum_product; L.Semiring.min_plus; L.Semiring.bool_or_and |];
+      relaxed_tail = false;
+      boundary = Some (npos - 1);
+      group_uses_last = false;
+    }
+  in
+  let breaks =
+    [
+      ("non-unit leaves", fun a -> { a with leaf_unit = false });
+      ("Opaque semiring", fun a -> { a with srs = Array.append a.srs [| opaque_sr |] });
+      ("relaxed tail", fun a -> { a with relaxed_tail = true });
+      ("boundary covers the last position", fun a -> { a with boundary = Some npos });
+      ("group source reads the last position", fun a -> { a with group_uses_last = true });
+    ]
+  in
+  let mode = Alcotest.testable (Fmt.of_to_string L.Compile.Leaf.mode_to_string) ( = ) in
+  Alcotest.check mode "hash path (no boundary)" L.Compile.Leaf.Count
+    (leaf_mode_of ~npos { sound with boundary = None });
+  Alcotest.check mode "no positions" L.Compile.Leaf.Stream (leaf_mode_of ~npos:0 sound);
+  for mask = 0 to (1 lsl List.length breaks) - 1 do
+    let broken = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) breaks in
+    Alcotest.check mode
+      (if mask = 0 then "all conditions hold" else String.concat " + " (List.map fst broken))
+      (if mask = 0 then L.Compile.Leaf.Count else L.Compile.Leaf.Stream)
+      (leaf_mode_of ~npos (List.fold_left (fun a (_, break) -> break a) sound broken))
+  done
+
 let () =
   Alcotest.run "levelheaded-plan"
     [
@@ -330,4 +385,5 @@ let () =
           Alcotest.test_case "worst-cost policy" `Quick test_worst_cost_policy;
           qcheck_choose_is_min;
         ] );
+      ("leaf-mode", [ Alcotest.test_case "soundness conditions" `Quick test_leaf_mode_table ]);
     ]

@@ -6,6 +6,7 @@
 module L = Levelheaded
 module Dtype = Lh_storage.Dtype
 module Table = Lh_storage.Table
+module Schema = Lh_storage.Schema
 module Date = Lh_storage.Date
 module Obs = Lh_obs.Obs
 module Report = Lh_obs.Report
@@ -233,6 +234,41 @@ let test_stmt_revalidates () =
        (matrix_rows [ (7, 8, 1.0) ]));
   Alcotest.(check int) "sees replaced table" 0 (L.Engine.Stmt.exec stmt []).Table.nrows
 
+(* ---- the leaf disposition is decided per execution ---- *)
+
+(* [d] repeats key (3, 3) (the row at v = 5). A [$1] that filters that
+   row away leaves distinct keys, so the bound trie's leaves are unit and
+   the innermost position counts instead of streaming; a [$1] that keeps
+   it makes the leaves carry multiplicity 2. One prepared plan serves
+   every binding, so the disposition must follow the bound tries each
+   time. Two positions, so the parallel drivers (which split position 0)
+   still reach the innermost leaf at any domain count. *)
+let test_leaf_mode_per_binding () =
+  let e = L.Engine.create () in
+  let reg name cols rows = ignore (L.Engine.register_rows e ~name ~schema:(Schema.create cols) rows) in
+  let keys = [ ("k", Dtype.Int, Schema.Key); ("j", Dtype.Int, Schema.Key) ] in
+  reg "d"
+    (keys @ [ ("v", Dtype.Float, Schema.Annotation) ])
+    (List.map
+       (fun (k, v) -> [ Dtype.VInt k; Dtype.VInt k; Dtype.VFloat v ])
+       [ (1, 1.0); (2, 1.0); (3, 1.0); (3, 5.0) ]);
+  reg "u" keys (List.map (fun k -> [ Dtype.VInt k; Dtype.VInt k ]) [ 1; 2; 3; 4 ]);
+  let sql = "select count(*) as c from d, u where d.k = u.k and d.j = u.j and d.v < $1" in
+  let stmt = L.Engine.prepare e sql in
+  let lookup name = L.Catalog.find_exn (L.Engine.catalog e) name in
+  let count_leaves bound =
+    let params = [ Dtype.VFloat bound ] in
+    let got, report = L.Engine.Stmt.exec_analyze stmt params in
+    Helpers.check_rows_equal
+      (Printf.sprintf "$1 = %g matches the oracle" bound)
+      (Lh_baseline.Oracle.query ~lookup (Normalize.substitute (Lh_sql.Parser.parse sql) params))
+      (Table.to_rows got);
+    cval "set.count_only" report
+  in
+  Alcotest.(check int) "duplicates kept: streamed" 0 (count_leaves 10.0);
+  Alcotest.(check bool) "duplicates filtered: counted" true (count_leaves 2.0 > 0);
+  Alcotest.(check int) "duplicates kept again: streamed" 0 (count_leaves 10.0)
+
 let test_query_into () =
   let e = matrix_engine () in
   let t = L.Engine.query_into e ~name:"rowsum" "select m.row, sum(m.v) as s from m group by m.row" in
@@ -276,6 +312,7 @@ let () =
           Alcotest.test_case "? parameters" `Quick test_anonymous_params;
           Alcotest.test_case "parameter misuse is typed" `Quick test_param_errors;
           Alcotest.test_case "statements revalidate" `Quick test_stmt_revalidates;
+          Alcotest.test_case "leaf mode follows the binding" `Quick test_leaf_mode_per_binding;
         ] );
       ( "plan-cache",
         [
