@@ -173,7 +173,7 @@ let cmd =
                  sites (including torn writes and kills during recovery itself), restart \
                  on the same directory and assert every acknowledged batch is \
                  query-visible and bit-identical to a sequential oracle rebuild \
-                 (\\$LH_KILL_COUNT batches per scenario, default 6)")
+                 (\\$LH_KILL_COUNT batches per scenario, default 6, minimum 4)")
   in
   let concurrent =
     Arg.(value & flag & info [ "concurrent" ]

@@ -126,8 +126,11 @@ LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts 
 # same --data-dir and require every acknowledged batch to be
 # query-visible and bit-identical to a sequential oracle — unacked
 # batches may be absent or complete, never partial. LH_KILL_COUNT
-# scales the batches per scenario (default 6); pinned seed for CI.
+# scales the batches per scenario (default 6, minimum 4); pinned seed
+# for CI. The second leg runs the minimum schedule, so every kill point
+# stays reachable at the floor.
 dune exec bin/lhfuzz.exe -- --kill-restart --seed 42 --quiet
+LH_KILL_COUNT=4 dune exec bin/lhfuzz.exe -- --kill-restart --seed 42 --quiet
 # Bench-baseline regression gate (see BENCH_15.json / EXPERIMENTS.md).
 # Deterministic legs first: the baseline must compare clean against
 # itself, and the gate must actually fire on a synthetic 3x slowdown.

@@ -88,10 +88,12 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
   let completed = Atomic.make 0 in
   let published = Atomic.make 0 in
   let writer_done = Atomic.make false in
-  let fail ~domain ~index ~kind ~sql ~epoch detail =
+  let fail into ~domain ~index ~kind ~sql ~epoch detail =
     Obs.incr c_failures;
-    { f_domain = domain; f_index = index; f_kind = kind; f_sql = sql;
-      f_epoch = epoch; f_detail = detail }
+    into :=
+      { f_domain = domain; f_index = index; f_kind = kind; f_sql = sql;
+        f_epoch = epoch; f_detail = detail }
+      :: !into
   in
   let reader d =
     let s = Serve.open_session svc in
@@ -105,19 +107,15 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
               o_rows = Table.to_rows t }
             :: !obs
       | Error err ->
-          fails :=
-            fail ~domain:d ~index ~kind ~sql ~epoch:(-1)
-              (Serve.error_to_string err)
-            :: !fails
+          fail fails ~domain:d ~index ~kind ~sql ~epoch:(-1)
+            (Serve.error_to_string err)
     in
     let persist =
       match Serve.prepare s persist_sql with
       | Ok p -> Some p
       | Error err ->
-          fails :=
-            fail ~domain:d ~index:(-1) ~kind:"persist" ~sql:persist_sql
-              ~epoch:(-1) (Serve.error_to_string err)
-            :: !fails;
+          fail fails ~domain:d ~index:(-1) ~kind:"persist" ~sql:persist_sql
+            ~epoch:(-1) (Serve.error_to_string err);
           None
     in
     for i = 0 to per_domain - 1 do
@@ -145,10 +143,8 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
            let psql = sql_of_ast lifted in
            match Serve.prepare s psql with
            | Error err ->
-               fails :=
-                 fail ~domain:d ~index ~kind:"prepared" ~sql:psql ~epoch:(-1)
-                   (Serve.error_to_string err)
-                 :: !fails
+               fail fails ~domain:d ~index ~kind:"prepared" ~sql:psql ~epoch:(-1)
+                 (Serve.error_to_string err)
            | Ok p ->
                record ~index ~kind:"prepared" ~sql:psql ~ast:lifted ~values
                  (Serve.exec_prepared p values)
@@ -161,10 +157,8 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
                ~values:[] (Serve.exec_prepared p [])
          | _ -> ()
        with e ->
-         fails :=
-           fail ~domain:d ~index ~kind:"reader" ~sql:"" ~epoch:(-1)
-             (Printexc.to_string e)
-           :: !fails);
+         fail fails ~domain:d ~index ~kind:"reader" ~sql:"" ~epoch:(-1)
+           (Printexc.to_string e));
       Atomic.incr completed
     done;
     Serve.close_session s;
@@ -185,10 +179,8 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
         Atomic.incr published;
         progress (Printf.sprintf "epoch %d published (generation %d)" e g)
     | Error err ->
-        writer_fails :=
-          fail ~domain:(-1) ~index:g ~kind:"ingest" ~sql:"" ~epoch:(-1)
-            (Serve.error_to_string err)
-          :: !writer_fails
+        fail writer_fails ~domain:(-1) ~index:g ~kind:"ingest" ~sql:"" ~epoch:(-1)
+          (Serve.error_to_string err)
   done;
   Atomic.set writer_done true;
   let per_reader = List.map Domain.join readers in
@@ -204,11 +196,11 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
     match Hashtbl.find_opt oracles epoch with
     | Some e -> e
     | None ->
-        let g = Hashtbl.find gen_of epoch in
-        let o = Dataset.build () in
-        for k = 1 to g do
-          ignore (L.Engine.register_rows o ~name:"m_a" ~schema:ma_schema (writer_rows ~seed k))
-        done;
+        let acked =
+          List.init (Hashtbl.find gen_of epoch) (fun k ->
+              ("m_a", ma_schema, writer_rows ~seed (k + 1)))
+        in
+        let o = Dataset.oracle ~base:(Dataset.build ()) acked in
         L.Engine.set_config o { (L.Engine.config o) with L.Config.domains = 1 };
         Hashtbl.replace oracles epoch o;
         o
@@ -216,6 +208,10 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
   List.iter
     (fun o ->
       Obs.incr c_replays;
+      let fail_replay =
+        fail fails ~domain:o.o_domain ~index:o.o_index ~kind:o.o_kind ~sql:o.o_sql
+          ~epoch:o.o_epoch
+      in
       match
         let oe = oracle_for o.o_epoch in
         if o.o_values = [] then Table.to_rows (L.Engine.query_ast oe o.o_ast)
@@ -223,36 +219,23 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
           let stmt = L.Engine.prepare_ast oe o.o_ast in
           Table.to_rows (L.Engine.Stmt.exec stmt o.o_values)
       with
-      | exception e ->
-          fails :=
-            fail ~domain:o.o_domain ~index:o.o_index ~kind:o.o_kind
-              ~sql:o.o_sql ~epoch:o.o_epoch
-              ("replay raised " ^ Printexc.to_string e)
-            :: !fails
+      | exception e -> fail_replay ("replay raised " ^ Printexc.to_string e)
       | expect ->
-          if compare (Rows.canonical expect) (Rows.canonical o.o_rows) <> 0
-          then
-            let detail =
-              match Rows.diff ~expect ~got:o.o_rows with
+          if compare (Rows.canonical expect) (Rows.canonical o.o_rows) <> 0 then
+            fail_replay
+              (match Rows.diff ~expect ~got:o.o_rows with
               | Some d -> d
-              | None -> "float cells differ in low bits (not bit-identical)"
-            in
-            fails :=
-              fail ~domain:o.o_domain ~index:o.o_index ~kind:o.o_kind
-                ~sql:o.o_sql ~epoch:o.o_epoch detail
-              :: !fails)
+              | None -> "float cells differ in low bits (not bit-identical)"))
     all_obs;
   let epochs =
     List.sort_uniq compare (List.map (fun o -> o.o_epoch) all_obs)
   in
   if List.length epochs < 2 then
-    fails :=
-      fail ~domain:(-1) ~index:(-1) ~kind:"coverage" ~sql:"" ~epoch:(-1)
-        (Printf.sprintf
-           "queries observed %d distinct epoch(s); the interleaving never \
-            spanned a swap"
-           (List.length epochs))
-      :: !fails;
+    fail fails ~domain:(-1) ~index:(-1) ~kind:"coverage" ~sql:"" ~epoch:(-1)
+      (Printf.sprintf
+         "queries observed %d distinct epoch(s); the interleaving never \
+          spanned a swap"
+         (List.length epochs));
   let count kind = List.length (List.filter (fun o -> o.o_kind = kind) all_obs) in
   {
     c_domains = domains;

@@ -4,6 +4,9 @@ module Obs = Lh_obs.Obs
 module Table = Lh_storage.Table
 module Schema = Lh_storage.Schema
 module Dtype = Lh_storage.Dtype
+module Serve = Lh_serve.Serve
+module Store = Lh_durable.Store
+module Wal = Lh_durable.Wal
 
 let c_requery_ok = Obs.counter "recover.requery_ok"
 
@@ -81,22 +84,89 @@ let scenarios =
 let kinds = [ Fault.Generic; Fault.Timeout; Fault.Oom ]
 let kind_str = Fault.kind_to_string
 let sql_of_ast ast = Format.asprintf "%a" Lh_sql.Ast.pp_query ast
+let ( >>= ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 (* Bit-identical row-set equality: the recovery contract is exact, not
    tolerance-based — the re-run takes the very same code path as the clean
    run, so even float summation order must agree. *)
 let rows_identical a b = Rows.canonical a = Rows.canonical b
 
+let answer eng sql =
+  match L.Engine.query_result eng sql with
+  | Ok t -> Table.to_rows t
+  | Error e -> failwith ("clean query failed: " ^ L.Engine.Error.to_string e)
+
+(* Re-run [sql] on the engine that absorbed the fault. *)
+let requery eng sql clean_rows =
+  match L.Engine.query_result eng sql with
+  | Ok t when rows_identical (Table.to_rows t) clean_rows -> Ok ()
+  | Ok _ -> Error "re-query differs from a clean engine's answer"
+  | Error e -> Error ("re-query on the faulted engine failed: " ^ L.Engine.Error.to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* The crash-only protocol                                              *)
+
+(* Raw exceptions of steps whose contract is to raise. Budget exceptions
+   are mapped here, not by [Engine.error_of_exn]: the steps that raise them
+   raw (CSR kernels, CSV ingest, store recovery) are not engine query
+   paths, so a regression in the engine's own classifier shows at the
+   engine's sites only. *)
+let error_of_exn = function
+  | Serve.Error e -> e
+  | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget ->
+      Serve.Engine_error L.Engine.Error.Budget_exceeded
+  | e -> Serve.Engine_error (L.Engine.error_of_exn e)
+
+let raising f = match f () with v -> Ok v | exception e -> Error (error_of_exn e)
+
+(* The one classifier: the typed error each fault kind promises. *)
+let classify ~site kind (e : Serve.error) =
+  match (kind, e) with
+  | Fault.Generic, Serve.Engine_error (L.Engine.Error.Fault_injected s) when s = site -> Ok ()
+  | (Fault.Timeout | Fault.Oom), Serve.Engine_error L.Engine.Error.Budget_exceeded -> Ok ()
+  | _ -> Error ("expected the typed fault error, got: " ^ Serve.error_to_string e)
+
+let trial ?(trigger = Fault.Nth 1) ?(release = ignore) ~site ~fixture ~step ~check () =
+  let rec go = function
+    | [] -> Some Passed
+    | kind :: rest -> (
+        Fault.disarm_all ();
+        let fx = fixture () in
+        let verdict =
+          Fun.protect
+            ~finally:(fun () -> release fx)
+            (fun () ->
+              Fault.arm ~kind ~trigger site;
+              let res = try Ok (step fx) with e -> Error e in
+              let fired = Fault.fired site > 0 in
+              Fault.disarm_all ();
+              match res with
+              | Error e -> `Failed ("unhandled exception escaped the step: " ^ Printexc.to_string e)
+              | Ok _ when not fired ->
+                  (* the first kind doubles as the reachability probe; the
+                     fixture and step are deterministic, so the later kinds
+                     must reach the site too *)
+                  if kind = Fault.Generic then `Unreached else `Failed "site unreached on replay"
+              | Ok (Ok _) -> `Failed "the fault fired but the step succeeded (silently swallowed)"
+              | Ok (Error e) -> (
+                  match classify ~site kind e >>= fun () -> check kind fx with
+                  | Ok () ->
+                      Obs.incr c_requery_ok;
+                      `Recovered
+                  | Error m -> `Failed m))
+        in
+        match verdict with
+        | `Recovered -> go rest
+        | `Unreached -> None
+        | `Failed m -> Some (Failed (Printf.sprintf "%s: %s" (kind_str kind) m)))
+  in
+  go kinds
+
+(* Every scenario but the query search must reach its site. *)
+let reached = function Some o -> o | None -> Failed "generic: the step never reached the site"
+
 (* ------------------------------------------------------------------ *)
 (* Query scenarios                                                      *)
-
-let check_fault_result ~site kind (res : (Table.t, L.Engine.Error.t) result) =
-  match (kind, res) with
-  | Fault.Generic, Error (L.Engine.Error.Fault_injected s) when s = site -> Ok ()
-  | (Fault.Timeout | Fault.Oom), Error L.Engine.Error.Budget_exceeded -> Ok ()
-  | _, Ok _ -> Error "fault fired but the query succeeded (silently swallowed)"
-  | _, Error e ->
-      Error (Printf.sprintf "expected typed fault error, got: %s" (L.Engine.Error.to_string e))
 
 (* The faulted run executes with telemetry on and a threshold-0 slow-query
    sink installed: even a query that dies to an injected fault or budget
@@ -125,91 +195,32 @@ let check_slow_log ~kind lines =
       in
       match bad with [] -> Ok () | m :: _ -> Error m)
 
-(* One (site, kind) trial on one query: fresh engine, arm, run, check the
-   typed error, then re-run the same query on the same engine and demand
-   the clean answer. *)
-let run_kind ?(layout_stress = false) ~site ~kind ~sql ~clean_rows () =
-  let eng = Dataset.build ~layout_stress () in
-  L.Engine.set_config eng { (L.Engine.config eng) with L.Config.slow_log_ms = 0.0 };
-  let slow_lines = ref [] in
-  L.Engine.set_profile_sink eng
-    (Some (fun p -> slow_lines := L.Profile.to_string p :: !slow_lines));
-  Fault.disarm_all ();
-  Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-  let res =
-    try Obs.with_enabled true (fun () -> L.Engine.query_result eng sql)
-    with e ->
-      Fault.disarm_all ();
-      failwith
-        (Printf.sprintf "%s: unhandled exception escaped query_result: %s" (kind_str kind)
-           (Printexc.to_string e))
-  in
-  Obs.clear_spans ();
-  L.Engine.set_profile_sink eng None;
-  let nfired = Fault.fired site in
-  Fault.disarm_all ();
-  if nfired = 0 then match res with Ok _ -> `Unreached | Error _ -> `Skip
-  else
-    match
-      match check_fault_result ~site kind res with
-      | Ok () -> check_slow_log ~kind !slow_lines
-      | Error _ as e -> e
-    with
-    | Error msg -> `Outcome (Failed (Printf.sprintf "%s: %s" (kind_str kind) msg))
-    | Ok () -> (
-        match L.Engine.query_result eng sql with
-        | exception e ->
-            `Outcome
-              (Failed
-                 (Printf.sprintf "%s: re-query raised: %s" (kind_str kind) (Printexc.to_string e)))
-        | Error e ->
-            `Outcome
-              (Failed
-                 (Printf.sprintf "%s: re-query on the faulted engine failed: %s" (kind_str kind)
-                    (L.Engine.Error.to_string e)))
-        | Ok t ->
-            if rows_identical (Table.to_rows t) clean_rows then begin
-              Obs.incr c_requery_ok;
-              `Recovered
-            end
-            else
-              `Outcome
-                (Failed
-                   (Printf.sprintf "%s: re-query differs from a clean engine's answer"
-                      (kind_str kind))))
+(* Fresh engine, the faulted query, then the slow-log record and a re-run
+   of the same query on the same engine, which must match the clean answer. *)
+let query_trial ?(layout_stress = false) ~site sql clean_rows =
+  trial ~site
+    ~fixture:(fun () ->
+      let eng = Dataset.build ~layout_stress () in
+      L.Engine.set_config eng { (L.Engine.config eng) with L.Config.slow_log_ms = 0.0 };
+      let lines = ref [] in
+      L.Engine.set_profile_sink eng (Some (fun p -> lines := L.Profile.to_string p :: !lines));
+      (eng, lines))
+    ~step:(fun (eng, _) ->
+      let res = Obs.with_enabled true (fun () -> L.Engine.query_result eng sql) in
+      Obs.clear_spans ();
+      L.Engine.set_profile_sink eng None;
+      Result.map_error (fun e -> Serve.Engine_error e) res)
+    ~check:(fun kind (eng, lines) ->
+      check_slow_log ~kind !lines >>= fun () -> requery eng sql clean_rows)
+    ()
 
-(* One candidate query at (seed, index). The generic-kind trial doubles as
-   the reachability probe; once it fires, the same deterministic path
-   reaches the site for the budget kinds too. *)
+(* One candidate query at (seed, index): [None] when it fails on a clean
+   engine or never reaches the site, and the search moves on. *)
 let try_one ~seed ~index ~spec ~site ~profile =
-  let ast, _shape = Gen.generate profile ~seed ~index spec in
-  let sql = sql_of_ast ast in
-  Fault.disarm_all ();
-  let clean = Dataset.build () in
-  match L.Engine.query_result clean sql with
-  | Error _ -> `Skip
-  | Ok t -> (
-      let clean_rows = Table.to_rows t in
-      match run_kind ~site ~kind:Fault.Generic ~sql ~clean_rows () with
-      | (`Unreached | `Skip) as r -> r
-      | `Outcome o -> `Outcome o
-      | `Recovered ->
-          let rec go = function
-            | [] -> `Outcome Passed
-            | k :: rest -> (
-                match run_kind ~site ~kind:k ~sql ~clean_rows () with
-                | `Recovered -> go rest
-                | `Outcome o -> `Outcome o
-                | `Unreached ->
-                    `Outcome
-                      (Failed
-                         (Printf.sprintf "%s: site unexpectedly unreached on replay" (kind_str k)))
-                | `Skip ->
-                    `Outcome
-                      (Failed
-                         (Printf.sprintf "%s: query failed without the fault firing" (kind_str k))))
-          in
-          go [ Fault.Timeout; Fault.Oom ])
+  let sql = sql_of_ast (fst (Gen.generate profile ~seed ~index spec)) in
+  match L.Engine.query_result (Dataset.build ()) sql with
+  | Error _ -> None
+  | Ok t -> query_trial ~site sql (Table.to_rows t)
 
 let query_site ~attempts ~seed site shapes =
   let dflt = L.Config.default in
@@ -219,45 +230,24 @@ let query_site ~attempts ~seed site shapes =
     Excused "requires the plan cache on (LH_PLAN_CACHE=0 never installs a plan)"
   else begin
     let spec = { Gen.shapes; Gen.max_relations = 3; Gen.semiring = true } in
-    let profile =
-      Fault.disarm_all ();
-      Dataset.profile (Dataset.build ())
-    in
-    let exception Done of outcome in
-    try
-      for index = 0 to attempts - 1 do
+    let profile = Dataset.profile (Dataset.build ()) in
+    let rec search index =
+      if index >= attempts then
+        Failed (Printf.sprintf "no generated query reached the site in %d attempts" attempts)
+      else
         match try_one ~seed ~index ~spec ~site ~profile with
-        | `Unreached | `Skip -> ()
-        | `Outcome o -> raise (Done o)
-      done;
-      Failed (Printf.sprintf "no generated query reached the site in %d attempts" attempts)
-    with Done o -> o
+        | Some o -> o
+        | None -> search (index + 1)
+    in
+    search 0
   end
 
 (* A pinned query on the layout-stress dataset must reach its site
    deterministically — "unreached" is a failure here, not a retry. *)
 let pinned_site ~site sql =
-  Fault.disarm_all ();
-  let clean = Dataset.build ~layout_stress:true () in
-  match L.Engine.query_result clean sql with
+  match L.Engine.query_result (Dataset.build ~layout_stress:true ()) sql with
   | Error e -> Failed ("pinned query failed on a clean engine: " ^ L.Engine.Error.to_string e)
-  | Ok t -> (
-      let clean_rows = Table.to_rows t in
-      let rec go = function
-        | [] -> Passed
-        | kind :: rest -> (
-            match run_kind ~layout_stress:true ~site ~kind ~sql ~clean_rows () with
-            | `Recovered -> go rest
-            | `Outcome Passed | `Outcome (Excused _) -> go rest
-            | `Outcome o -> o
-            | `Unreached ->
-                Failed (Printf.sprintf "%s: pinned query did not reach the site" (kind_str kind))
-            | `Skip ->
-                Failed
-                  (Printf.sprintf "%s: pinned query failed without the fault firing"
-                     (kind_str kind)))
-      in
-      go kinds)
+  | Ok t -> reached (query_trial ~layout_stress:true ~site sql (Table.to_rows t))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel scenarios: the CSR kernels are not reachable through the SQL
@@ -279,53 +269,13 @@ let kernel_site site =
     | "csr.spmv" -> `V (Lh_blas.Csr.spmv ~domains a x)
     | _ -> `M (Lh_blas.Csr.spgemm ~domains a a)
   in
-  Fault.disarm_all ();
   let clean = run () in
-  let expected_exn kind e =
-    match (kind, e) with
-    | Fault.Generic, Fault.Injected s -> s = site
-    | Fault.Timeout, Lh_util.Budget.Timed_out -> true
-    | Fault.Oom, Lh_util.Budget.Out_of_memory_budget -> true
-    | _ -> false
-  in
-  let rec go = function
-    | [] -> Passed
-    | kind :: rest -> (
-        Fault.disarm_all ();
-        Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-        let outcome =
-          match run () with
-          | _ ->
-              Fault.disarm_all ();
-              Failed (Printf.sprintf "%s: kernel completed despite the armed fault" (kind_str kind))
-          | exception e ->
-              let fired = Fault.fired site > 0 in
-              Fault.disarm_all ();
-              if not fired then
-                Failed
-                  (Printf.sprintf "%s: exception without the site firing: %s" (kind_str kind)
-                     (Printexc.to_string e))
-              else if not (expected_exn kind e) then
-                Failed
-                  (Printf.sprintf "%s: unexpected exception: %s" (kind_str kind)
-                     (Printexc.to_string e))
-              else begin
-                match run () with
-                | exception e ->
-                    Failed
-                      (Printf.sprintf "%s: re-run raised: %s" (kind_str kind) (Printexc.to_string e))
-                | r ->
-                    if r = clean then begin
-                      Obs.incr c_requery_ok;
-                      Passed
-                    end
-                    else
-                      Failed (Printf.sprintf "%s: re-run differs from clean result" (kind_str kind))
-              end
-        in
-        match outcome with Passed -> go rest | o -> o)
-  in
-  go kinds
+  reached
+    (trial ~site ~fixture:ignore
+       ~step:(fun () -> raising run)
+       ~check:(fun _ () ->
+         if run () = clean then Ok () else Error "re-run differs from clean result")
+       ())
 
 (* ------------------------------------------------------------------ *)
 (* Ingest scenarios: a fault mid-load must leave the catalog without the
@@ -351,206 +301,42 @@ let ingest_site site =
           ]
       in
       let sql = "select sum(v) as s from t" in
-      Fault.disarm_all ();
+      let load eng = ignore (L.Engine.load_csv eng ~name:"t" ~schema path) in
       let clean = L.Engine.create () in
-      ignore (L.Engine.load_csv clean ~name:"t" ~schema path);
-      let clean_rows =
-        match L.Engine.query_result clean sql with
-        | Ok t -> Table.to_rows t
-        | Error e -> failwith ("clean ingest query failed: " ^ L.Engine.Error.to_string e)
-      in
-      let expected_exn kind e =
-        match (kind, e) with
-        | Fault.Generic, L.Engine.Error (L.Engine.Error.Fault_injected s) -> s = site
-        | Fault.Timeout, Lh_util.Budget.Timed_out -> true
-        | Fault.Oom, Lh_util.Budget.Out_of_memory_budget -> true
-        | _ -> false
-      in
-      let rec go = function
-        | [] -> Passed
-        | kind :: rest -> (
-            let eng = L.Engine.create () in
-            Fault.disarm_all ();
-            (* Nth 3: abort mid-file, after some rows are already staged. *)
-            Fault.arm ~kind ~trigger:(Fault.Nth 3) site;
-            let outcome =
-              match L.Engine.load_csv eng ~name:"t" ~schema path with
-              | _ ->
-                  Fault.disarm_all ();
-                  Failed
-                    (Printf.sprintf "%s: ingest completed despite the armed fault" (kind_str kind))
-              | exception e ->
-                  let fired = Fault.fired site > 0 in
-                  Fault.disarm_all ();
-                  if not fired then
-                    Failed
-                      (Printf.sprintf "%s: exception without the site firing: %s" (kind_str kind)
-                         (Printexc.to_string e))
-                  else if not (expected_exn kind e) then
-                    Failed
-                      (Printf.sprintf "%s: unexpected exception: %s" (kind_str kind)
-                         (Printexc.to_string e))
-                  else if L.Catalog.find (L.Engine.catalog eng) "t" <> None then
-                    Failed
-                      (Printf.sprintf "%s: partial table registered after aborted ingest"
-                         (kind_str kind))
-                  else begin
-                    match L.Engine.load_csv eng ~name:"t" ~schema path with
-                    | exception e ->
-                        Failed
-                          (Printf.sprintf "%s: re-ingest raised: %s" (kind_str kind)
-                             (Printexc.to_string e))
-                    | _ -> (
-                        match L.Engine.query_result eng sql with
-                        | Ok t when rows_identical (Table.to_rows t) clean_rows ->
-                            Obs.incr c_requery_ok;
-                            Passed
-                        | Ok _ ->
-                            Failed
-                              (Printf.sprintf "%s: post-recovery query differs" (kind_str kind))
-                        | Error e ->
-                            Failed
-                              (Printf.sprintf "%s: post-recovery query failed: %s" (kind_str kind)
-                                 (L.Engine.Error.to_string e)))
-                  end
-            in
-            match outcome with Passed -> go rest | o -> o)
-      in
-      go kinds)
+      load clean;
+      let clean_rows = answer clean sql in
+      reached
+        (trial ~site
+           (* Nth 3: abort mid-file, after some rows are already staged. *)
+           ~trigger:(Fault.Nth 3) ~fixture:L.Engine.create
+           ~step:(fun eng -> raising (fun () -> load eng))
+           ~check:(fun _ eng ->
+             if L.Catalog.find (L.Engine.catalog eng) "t" <> None then
+               Error "partial table registered after aborted ingest"
+             else begin
+               load eng;
+               requery eng sql clean_rows
+             end)
+           ()))
 
 (* ------------------------------------------------------------------ *)
-(* Serving scenarios: each site must uphold the crash-only contract at
+(* Service scenarios: each site must uphold the crash-only contract at
    the service level — a typed error to the one affected caller, every
    other session unaffected, and full recovery (bit-identical answers)
-   once the fault clears.                                               *)
+   once the fault clears. They share one t(k, v) fixture: generation [g]
+   replaces t with [t_rows g], and [t_clean g], a plain sequential engine
+   after the acknowledged generations 0..g, is the answer the service
+   must give before, around and after the fault.                        *)
 
-module Serve = Lh_serve.Serve
+let t_schema =
+  Schema.create [ ("k", Dtype.Int, Schema.Key); ("v", Dtype.Float, Schema.Annotation) ]
 
-let serve_site site =
-  let schema =
-    Schema.create [ ("k", Dtype.Int, Schema.Key); ("v", Dtype.Float, Schema.Annotation) ]
-  in
-  let rows g =
-    List.init (4 + g) (fun i -> [ Dtype.VInt i; Dtype.VFloat (float_of_int ((i + 1) * (g + 1))) ])
-  in
-  let sql = "select sum(v) as s from t" in
-  (* Clean per-generation answers from a plain sequential engine — the
-     oracle the service must match before, around, and after the fault. *)
-  let clean_rows g =
-    let eng = L.Engine.create () in
-    ignore (L.Engine.register_rows eng ~name:"t" ~schema (rows g));
-    match L.Engine.query_result eng sql with
-    | Ok t -> Table.to_rows t
-    | Error e -> failwith ("serve clean query failed: " ^ L.Engine.Error.to_string e)
-  in
-  Fault.disarm_all ();
-  let clean = [| clean_rows 0; clean_rows 1; clean_rows 2 |] in
-  let expected_error kind (e : Serve.error) =
-    match (kind, e) with
-    | Fault.Generic, Serve.Engine_error (L.Engine.Error.Fault_injected s) -> s = site
-    | (Fault.Timeout | Fault.Oom), Serve.Engine_error L.Engine.Error.Budget_exceeded -> true
-    | _ -> false
-  in
-  let rec go = function
-    | [] -> Passed
-    | kind :: rest -> (
-        Fault.disarm_all ();
-        let eng = L.Engine.create ~config:{ L.Config.default with L.Config.domains = 1 } () in
-        ignore (L.Engine.register_rows eng ~name:"t" ~schema (rows 0));
-        let svc = Serve.create eng in
-        let victim = Serve.open_session svc in
-        let survivor = Serve.open_session svc in
-        let check_q name sess g =
-          match Serve.query sess sql with
-          | Ok t when rows_identical (Table.to_rows t) clean.(g) -> Ok ()
-          | Ok _ -> Error (name ^ ": rows differ from the clean answer")
-          | Error e -> Error (Printf.sprintf "%s: %s" name (Serve.error_to_string e))
-        in
-        let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-        let outcome =
-          match site with
-          | "serve.admit" -> (
-              Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-              let r = Serve.query victim sql in
-              if Fault.fired site = 0 then Error "site not reached"
-              else
-                match r with
-                | Ok _ -> Error "query succeeded despite the armed admit fault"
-                | Error e when expected_error kind e ->
-                    (* Nth 1 is consumed: the very next admission — the
-                       surviving session's — must sail through. *)
-                    check_q "survivor" survivor 0 >>= fun () ->
-                    Fault.disarm_all ();
-                    check_q "victim re-query" victim 0
-                | Error e -> Error ("unexpected error: " ^ Serve.error_to_string e))
-          | "epoch.publish" -> (
-              let e0 = Serve.current_epoch svc in
-              Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-              match Serve.ingest_rows svc ~name:"t" ~schema (rows 1) with
-              | Ok _ -> Error "ingest succeeded despite the armed publish fault"
-              | Error e ->
-                  if Fault.fired site = 0 then Error "site not reached"
-                  else if not (expected_error kind e) then
-                    Error ("unexpected error: " ^ Serve.error_to_string e)
-                  else if Serve.current_epoch svc <> e0 then
-                    Error "epoch advanced despite the failed publish"
-                  else
-                    check_q "survivor on the old epoch" survivor 0 >>= fun () ->
-                    Fault.disarm_all ();
-                    (* install-on-success at the service level: retrying
-                       the ingest publishes cleanly *)
-                    (match Serve.ingest_rows svc ~name:"t" ~schema (rows 1) with
-                    | Ok _ -> Ok ()
-                    | Error e -> Error ("re-ingest failed: " ^ Serve.error_to_string e))
-                    >>= fun () -> check_q "post-recovery" survivor 1)
-          | _ (* epoch.retire *) -> (
-              ignore (Serve.pin victim);
-              match Serve.ingest_rows svc ~name:"t" ~schema (rows 1) with
-              | Error e -> Error ("setup ingest failed: " ^ Serve.error_to_string e)
-              | Ok _ -> (
-                  (* victim's pin is the only thing keeping epoch 0 alive;
-                     the armed retire fault fires when unpin reclaims it *)
-                  Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-                  match Serve.unpin victim with
-                  | () ->
-                      Fault.disarm_all ();
-                      Error "unpin reclaimed despite the armed retire fault"
-                  | exception Serve.Error e ->
-                      if Fault.fired site = 0 then Error "site not reached"
-                      else if not (expected_error kind e) then
-                        Error ("unexpected error: " ^ Serve.error_to_string e)
-                      else begin
-                        Fault.disarm_all ();
-                        (* the epoch merely leaked; both sessions keep
-                           answering on the current epoch … *)
-                        check_q "victim after retire fault" victim 1 >>= fun () ->
-                        check_q "survivor after retire fault" survivor 1 >>= fun () ->
-                        (* … and the next publish sweeps the leak *)
-                        match Serve.ingest_rows svc ~name:"t" ~schema (rows 2) with
-                        | Error e -> Error ("sweep ingest failed: " ^ Serve.error_to_string e)
-                        | Ok _ ->
-                            if List.length (Serve.epochs svc) <> 1 then
-                              Error "leaked epoch not reclaimed by the next sweep"
-                            else check_q "post-sweep" victim 2
-                      end))
-        in
-        Serve.close svc;
-        Fault.disarm_all ();
-        match outcome with
-        | Ok () -> go rest
-        | Error m -> Failed (Printf.sprintf "%s: %s" (kind_str kind) m))
-  in
-  go kinds
+let t_rows g =
+  List.init (4 + g) (fun i -> [ Dtype.VInt i; Dtype.VFloat (float_of_int ((i + 1) * (g + 1))) ])
 
-(* ------------------------------------------------------------------ *)
-(* Durable scenarios: the WAL / checkpoint / manifest fault sites must
-   uphold the durability contract — a faulted durable ingest surfaces as
-   the typed error, the served epoch and the live writer are untouched
-   (rollback), retrying publishes cleanly, and a restart on the same
-   directory recovers the last acknowledged state bit-identically.      *)
-
-module Store = Lh_durable.Store
-module Wal = Lh_durable.Wal
+let t_sql = "select sum(v) as s from t"
+let t_batches g = List.init (g + 1) (fun k -> ("t", t_schema, t_rows k))
+let t_clean g = answer (Dataset.oracle (t_batches g)) t_sql
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -560,29 +346,67 @@ let rec rm_rf path =
       (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Sys.remove path with Sys_error _ -> ())
 
-let with_temp_dir f =
+let temp_dir () =
   let dir = Filename.temp_file "lh_crashtest" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
+  dir
+
+let with_temp_dir f =
+  let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let durable_schema =
-  Schema.create [ ("k", Dtype.Int, Schema.Key); ("v", Dtype.Float, Schema.Annotation) ]
+type service = {
+  svc : Serve.t;
+  victim : Serve.session;
+  survivor : Serve.session;
+  e0 : int;  (** the epoch served before the faulted step *)
+  dir : string option;  (** the store directory of a durable service *)
+  mutable armed : (unit, string) result;  (** a check the step made while armed *)
+}
 
-let durable_rows g =
-  List.init (4 + g) (fun i -> [ Dtype.VInt i; Dtype.VFloat (float_of_int ((i + 1) * (g + 1))) ])
+(* With [dir], a store is attached: [Always] puts wal.fsync on every
+   append's hot path; checkpoint_every 1 puts checkpoint.write and
+   manifest.swap on every durable ingest's. The store opens in the
+   fixture, before the site is armed — a fresh store writes its manifest
+   on open. *)
+let service ?dir () =
+  let store = Option.map (fun d -> fst (Store.open_dir ~sync:Wal.Always d)) dir in
+  let eng = L.Engine.create ~config:{ L.Config.default with L.Config.domains = 1 } () in
+  ignore (L.Engine.register_rows eng ~name:"t" ~schema:t_schema (t_rows 0));
+  let svc = Serve.create ?store ~checkpoint_every:1 eng in
+  let victim = Serve.open_session svc in
+  let survivor = Serve.open_session svc in
+  { svc; victim; survivor; e0 = Serve.current_epoch svc; dir; armed = Ok () }
 
-let durable_sql = "select sum(v) as s from t"
+let release f =
+  Serve.close f.svc;
+  Option.iter rm_rf f.dir
 
-let durable_clean_rows g =
-  let eng = L.Engine.create () in
-  ignore (L.Engine.register_rows eng ~name:"t" ~schema:durable_schema (durable_rows g));
-  match L.Engine.query_result eng durable_sql with
-  | Ok t -> Table.to_rows t
-  | Error e -> failwith ("durable clean query failed: " ^ L.Engine.Error.to_string e)
+let ingest f g = Serve.ingest_rows f.svc ~name:"t" ~schema:t_schema (t_rows g)
+
+let ingest_ok what f g =
+  match ingest f g with
+  | Ok _ -> Ok ()
+  | Error e -> Error (what ^ " failed: " ^ Serve.error_to_string e)
+
+let check_q name sess g =
+  match Serve.query sess t_sql with
+  | Ok t when rows_identical (Table.to_rows t) (t_clean g) -> Ok ()
+  | Ok _ -> Error (name ^ ": rows differ from the clean answer")
+  | Error e -> Error (Printf.sprintf "%s: %s" name (Serve.error_to_string e))
+
+(* A failed ingest publishes nothing: the survivor still reads the old
+   epoch, and retrying the ingest publishes cleanly (install-on-success
+   at the service level). *)
+let check_rollback f =
+  if Serve.current_epoch f.svc <> f.e0 then Error "epoch advanced despite the failed ingest"
+  else
+    check_q "survivor on the old epoch" f.survivor 0 >>= fun () ->
+    ingest_ok "re-ingest" f 1 >>= fun () -> check_q "post-recovery" f.survivor 1
 
 (* Re-open the store directory and demand a freshly recovered engine
-   answers exactly like a clean engine holding generation [g]. *)
+   answers exactly like the oracle after generation [g]. *)
 let check_recovery dir g =
   let store, recovered = Store.open_dir dir in
   Fun.protect
@@ -591,131 +415,86 @@ let check_recovery dir g =
       let eng = L.Engine.create () in
       Store.replay_into recovered (fun ~name ~schema rows ->
           ignore (L.Engine.register_rows eng ~name ~schema rows));
-      match L.Engine.query_result eng durable_sql with
-      | Ok t when rows_identical (Table.to_rows t) (durable_clean_rows g) -> Ok ()
+      match L.Engine.query_result eng t_sql with
+      | Ok t when rows_identical (Table.to_rows t) (t_clean g) -> Ok ()
       | Ok _ -> Error "recovered engine differs from the clean answer"
       | Error e -> Error ("recovered query failed: " ^ L.Engine.Error.to_string e))
 
+let serve_site site =
+  let trial ~fixture ~step ~check = reached (trial ~site ~release ~fixture ~step ~check ()) in
+  match site with
+  | "serve.admit" ->
+      trial ~fixture:service
+        ~step:(fun f ->
+          let res = Serve.query f.victim t_sql in
+          (* Nth 1 is consumed: the very next admission — the surviving
+             session's — must sail through while the site is still armed. *)
+          f.armed <- check_q "survivor" f.survivor 0;
+          res)
+        ~check:(fun _ f -> f.armed >>= fun () -> check_q "victim re-query" f.victim 0)
+  | "epoch.publish" ->
+      trial ~fixture:service ~step:(fun f -> ingest f 1) ~check:(fun _ -> check_rollback)
+  | _ (* epoch.retire *) ->
+      (* the victim's pin is the only thing keeping epoch 0 alive; the
+         armed retire fault fires when unpin reclaims it *)
+      trial
+        ~fixture:(fun () ->
+          let f = service () in
+          ignore (Serve.pin f.victim);
+          match ingest f 1 with
+          | Ok _ -> f
+          | Error e -> failwith ("setup ingest failed: " ^ Serve.error_to_string e))
+        ~step:(fun f -> raising (fun () -> Serve.unpin f.victim))
+        ~check:(fun _ f ->
+          (* the epoch merely leaked; both sessions keep answering on the
+             current epoch … *)
+          check_q "victim after retire fault" f.victim 1 >>= fun () ->
+          check_q "survivor after retire fault" f.survivor 1 >>= fun () ->
+          (* … and the next publish sweeps the leak *)
+          ingest_ok "sweep ingest" f 2 >>= fun () ->
+          if List.length (Serve.epochs f.svc) <> 1 then
+            Error "leaked epoch not reclaimed by the next sweep"
+          else check_q "post-sweep" f.victim 2)
+
+(* Durable scenarios: the WAL / checkpoint / manifest fault sites must
+   uphold the durability contract — a faulted durable ingest surfaces as
+   the typed error, the served epoch and the live writer are untouched
+   (rollback), retrying publishes cleanly, and a restart on the same
+   directory recovers the last acknowledged state bit-identically. *)
 let durable_site site =
-  Fault.disarm_all ();
-  let clean = [| durable_clean_rows 0; durable_clean_rows 1 |] in
-  let expected_error kind (e : Serve.error) =
-    match (kind, e) with
-    | Fault.Generic, Serve.Engine_error (L.Engine.Error.Fault_injected s) -> s = site
-    | (Fault.Timeout | Fault.Oom), Serve.Engine_error L.Engine.Error.Budget_exceeded -> true
-    | _ -> false
-  in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let rec go = function
-    | [] -> Passed
-    | kind :: rest -> (
-        let outcome =
-          with_temp_dir (fun dir ->
-              Fault.disarm_all ();
-              (* [Always] puts wal.fsync on every append's hot path;
-                 checkpoint_every 1 puts checkpoint.write and
-                 manifest.swap on every durable ingest's. Arm only after
-                 open_dir — a fresh store writes its manifest on open. *)
-              let store, _ = Store.open_dir ~sync:Wal.Always dir in
-              let eng =
-                L.Engine.create ~config:{ L.Config.default with L.Config.domains = 1 } ()
-              in
-              ignore (L.Engine.register_rows eng ~name:"t" ~schema:durable_schema (durable_rows 0));
-              let svc = Serve.create ~store ~checkpoint_every:1 eng in
-              let survivor = Serve.open_session svc in
-              let e0 = Serve.current_epoch svc in
-              let check_q name g =
-                match Serve.query survivor durable_sql with
-                | Ok t when rows_identical (Table.to_rows t) clean.(g) -> Ok ()
-                | Ok _ -> Error (name ^ ": rows differ from the clean answer")
-                | Error e -> Error (Printf.sprintf "%s: %s" name (Serve.error_to_string e))
-              in
-              Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-              let res = Serve.ingest_rows svc ~name:"t" ~schema:durable_schema (durable_rows 1) in
-              let fired = Fault.fired site > 0 in
-              Fault.disarm_all ();
-              let outcome =
-                match res with
-                | Ok _ -> Error "durable ingest succeeded despite the armed fault"
-                | Error _ when not fired -> Error "site not reached"
-                | Error e when not (expected_error kind e) ->
-                    Error ("unexpected error: " ^ Serve.error_to_string e)
-                | Error _ ->
-                    if Serve.current_epoch svc <> e0 then
-                      Error "epoch advanced despite the failed durable ingest"
-                    else
-                      check_q "survivor on the old epoch" 0 >>= fun () ->
-                      (match
-                         Serve.ingest_rows svc ~name:"t" ~schema:durable_schema (durable_rows 1)
-                       with
-                      | Ok _ -> Ok ()
-                      | Error e -> Error ("re-ingest failed: " ^ Serve.error_to_string e))
-                      >>= fun () ->
-                      check_q "post-recovery" 1 >>= fun () ->
-                      (* Restart: close the service (and its store), then
-                         recover the directory from scratch. *)
-                      Serve.close svc;
-                      check_recovery dir 1
-              in
-              Serve.close svc;
-              outcome)
-        in
-        Fault.disarm_all ();
-        match outcome with
-        | Ok () -> go rest
-        | Error m -> Failed (Printf.sprintf "%s: %s" (kind_str kind) m))
-  in
-  go kinds
+  reached
+    (trial ~site ~release
+       ~fixture:(fun () -> service ~dir:(temp_dir ()) ())
+       ~step:(fun f -> ingest f 1)
+       ~check:(fun _ f ->
+         check_rollback f >>= fun () ->
+         (* Restart: close the service (and its store), then recover the
+            directory from scratch. *)
+         Serve.close f.svc;
+         check_recovery (Option.get f.dir) 1)
+       ())
 
 (* Recovery-path sites (wal.replay, checkpoint.load) only fire inside
    [Store.open_dir]: seed a directory with durable state, arm, and demand
-   the faulted open raises the typed exception without corrupting
+   the faulted open fails with the typed error without corrupting
    anything — the next open must recover everything. *)
 let recovery_site site =
-  Fault.disarm_all ();
-  let expected_exn kind e =
-    match (kind, e) with
-    | Fault.Generic, Fault.Injected s -> s = site
-    | Fault.Timeout, Lh_util.Budget.Timed_out -> true
-    | Fault.Oom, Lh_util.Budget.Out_of_memory_budget -> true
-    | _ -> false
-  in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let rec go = function
-    | [] -> Passed
-    | kind :: rest -> (
-        let outcome =
-          with_temp_dir (fun dir ->
-              Fault.disarm_all ();
-              let store, _ = Store.open_dir ~sync:(Wal.Group 2) dir in
-              ignore (Store.log_batch store ~name:"t" ~schema:durable_schema (durable_rows 0));
-              if site = "checkpoint.load" then
-                Store.checkpoint store [ ("t", durable_schema, durable_rows 0) ];
-              ignore (Store.log_batch store ~name:"t" ~schema:durable_schema (durable_rows 1));
-              ignore (Store.log_batch store ~name:"t" ~schema:durable_schema (durable_rows 2));
-              Store.close store;
-              Fault.arm ~kind ~trigger:(Fault.Nth 1) site;
-              let res =
-                match Store.open_dir dir with
-                | st, _ ->
-                    Store.close st;
-                    Error "recovery succeeded despite the armed fault"
-                | exception e ->
-                    if Fault.fired site = 0 then
-                      Error ("exception without the site firing: " ^ Printexc.to_string e)
-                    else if not (expected_exn kind e) then
-                      Error ("unexpected exception: " ^ Printexc.to_string e)
-                    else Ok ()
-              in
-              Fault.disarm_all ();
-              res >>= fun () -> check_recovery dir 2)
-        in
-        Fault.disarm_all ();
-        match outcome with
-        | Ok () -> go rest
-        | Error m -> Failed (Printf.sprintf "%s: %s" (kind_str kind) m))
-  in
-  go kinds
+  reached
+    (trial ~site ~release:rm_rf
+       ~fixture:(fun () ->
+         let dir = temp_dir () in
+         let store, _ = Store.open_dir ~sync:(Wal.Group 2) dir in
+         List.iteri
+           (fun g (name, schema, rows) ->
+             ignore (Store.log_batch store ~name ~schema rows);
+             if g = 0 && site = "checkpoint.load" then
+               Store.checkpoint store [ (name, schema, rows) ])
+           (t_batches 2);
+         Store.close store;
+         dir)
+       ~step:(fun dir -> raising (fun () -> Store.close (fst (Store.open_dir dir))))
+       ~check:(fun _ dir -> check_recovery dir 2)
+       ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -816,7 +595,7 @@ type kill_scenario = {
    a restart's own replay. [count] ingest batches; the mid-stream kills
    trigger around batch count/2 so acked batches exist on both sides. *)
 let kill_scenarios ~count =
-  let mid = max 2 ((count / 2) + 1) in
+  let mid = (count / 2) + 1 in
   let k fmt = Printf.ksprintf (fun s -> Some s) fmt in
   [
     { ks_name = "wal.append/pre"; ks_kill = k "wal.append:nth=%d" mid; ks_recover_kill = None;
@@ -963,19 +742,15 @@ let kill_batch_csv ~seed i =
 let kill_sql tbl =
   Printf.sprintf "select k as a0, s as a1, sum(v) as a2 from %s group by k, s" tbl
 
-(* The oracle: a plain sequential engine replaying a batch transcript,
+(* The oracle: a plain sequential engine after the acknowledged batches,
    its answer printed through the very same [Table.pp_row] the server
    uses — the comparison is on identical bytes, modulo row order. *)
 let oracle_lines ~seed batches tbl =
   if not (List.exists (fun i -> kill_table i = tbl) batches) then None
   else begin
-    let eng = L.Engine.create () in
-    List.iter
-      (fun i ->
-        ignore
-          (L.Engine.register_rows eng ~name:(kill_table i) ~schema:kill_schema
-             (kill_batch ~seed i)))
-      batches;
+    let eng =
+      Dataset.oracle (List.map (fun i -> (kill_table i, kill_schema, kill_batch ~seed i)) batches)
+    in
     match L.Engine.query_result eng (kill_sql tbl) with
     | Ok t ->
         Some
@@ -1035,7 +810,6 @@ let query_child_lines c sid tbl =
     | None -> Error "restarted child eof on query"
 
 let run_one_kill ~bin ~seed ~count ks =
-  let ( >>= ) r f = match r with Ok v -> f v | Error _ as e -> e in
   with_temp_dir (fun dir ->
       let spawn kill = spawn_serve ~bin ~dir ~sync:ks.ks_sync ~ckpt:ks.ks_ckpt ~kill in
       (* phase A: ingest until the kill fires (or all batches land) *)
@@ -1120,13 +894,15 @@ let run_one_kill ~bin ~seed ~count ks =
       result)
 
 let run_kill ?(progress = fun _ -> ()) ?count ~seed () =
+  (* At least 4 batches: wal.fsync/group kills at the second group fsync
+     and checkpoint.write/pre at the second checkpoint, both reached only
+     by batch 4; a shorter schedule would never fire them. *)
   let count =
-    match count with
-    | Some n -> max 2 n
-    | None -> (
-        match Sys.getenv_opt "LH_KILL_COUNT" with
-        | Some s -> ( match int_of_string_opt s with Some n when n >= 2 -> n | _ -> 6)
-        | None -> 6)
+    max 4
+      (match count with
+      | Some n -> n
+      | None ->
+          Option.value ~default:6 (Option.bind (Sys.getenv_opt "LH_KILL_COUNT") int_of_string_opt))
   in
   let prev_sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None

@@ -1,19 +1,20 @@
 (** Seeded crash-only recovery harness over the fault-injection registry.
 
-    For every registered {!Lh_fault.Fault} site the harness arms the site
-    (each kind in turn: generic, timeout, OOM), drives a workload that
-    reaches it — a fuzzer-generated query, a direct kernel call, or a CSV
-    ingest, depending on the site — and then asserts the crash-only
-    invariant end to end:
+    Every registered {!Lh_fault.Fault} site has a scenario that supplies a
+    fixture, a step that reaches the site — a fuzzer-generated or pinned
+    query, a direct kernel call, a CSV ingest, a service request, a
+    durable ingest or a store recovery — and its post-fault checks. One
+    driver, {!trial}, runs the crash-only protocol for every scenario,
+    once per fault kind (generic, timeout, OOM), and asserts:
 
     + the armed fault fires deterministically and surfaces as the typed
-      error the engine contract promises ([Engine.Error Fault_injected]
-      for generic faults, the budget error for timeout/OOM kinds) — never
-      a crash, hang, or silent success;
-    + the engine (or pool / kernel state) that absorbed the fault is
-      immediately reusable: re-running the exact same workload on the
-      {e same} engine succeeds and is bit-identical to a clean engine's
-      answer.
+      error the engine contract promises ([Fault_injected] for generic
+      faults, [Budget_exceeded] for timeout/OOM kinds) — never a crash,
+      hang, or silent success;
+    + whatever absorbed the fault (engine, pool, kernel state, service,
+      store directory) is immediately reusable: the scenario's recovery
+      check, run once the site is disarmed, answers bit-identically to an
+      oracle engine holding only the acknowledged state.
 
     Every site must be covered: a registered site with no scenario, or a
     scenario whose workload cannot reach its site, is a failure — the
@@ -40,6 +41,31 @@ type summary = {
   s_sites : site_report list;  (** one report per registered site *)
 }
 
+val trial :
+  ?trigger:Lh_fault.Fault.trigger ->
+  ?release:('f -> unit) ->
+  site:string ->
+  fixture:(unit -> 'f) ->
+  step:('f -> ('a, Lh_serve.Serve.error) result) ->
+  check:(Lh_fault.Fault.kind -> 'f -> (unit, string) result) ->
+  unit ->
+  outcome option
+(** The crash-only protocol at [site], once per fault kind (generic,
+    timeout, OOM, in that order): build a fresh [fixture ()], arm the site
+    with [trigger] (default [Nth 1]), run [step], disarm, and classify —
+    the step succeeded despite the firing fault, the site was never
+    reached, the step failed with the wrong error (a {!Lh_serve.Serve}
+    error that is not the kind's [Engine_error]), or it failed with the
+    expected typed error, in which case [check kind fixture] must pass.
+    [release] (default a no-op) disposes of each fixture. An exception
+    escaping [step] is a failure: a step whose contract is to raise must
+    map its exception to an error itself.
+
+    [None] when the first (generic) kind never reached the site — a query
+    search then tries its next candidate; later kinds must reach it.
+    Otherwise [Some Passed], or [Some (Failed m)] with [m] naming the
+    kind. Leaves the fault registry disarmed. *)
+
 val run :
   ?progress:(string -> unit) -> ?attempts:int -> ?site:string -> seed:int -> unit -> summary
 (** Run every scenario. [attempts] (default 40) bounds the per-site search
@@ -53,7 +79,8 @@ val run :
 val run_kill : ?progress:(string -> unit) -> ?count:int -> seed:int -> unit -> summary
 (** Kill-and-restart harness: spawns a real [lhserve] child on a
     temporary [--data-dir], streams [count] deterministic ingest batches
-    (default [LH_KILL_COUNT], 6), SIGKILLs it at an [LH_KILL]-selected
+    (default [LH_KILL_COUNT], else 6; at least 4, the shortest schedule
+    that reaches every kill point), SIGKILLs it at an [LH_KILL]-selected
     point — every durable fault site, as both a pre-write kill and a
     deterministic torn write, plus kills {e during} a restart's own
     recovery — then restarts on the same directory and asserts every

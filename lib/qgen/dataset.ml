@@ -183,6 +183,13 @@ let build ?(layout_stress = false) () =
   if layout_stress then layout_stress_tables reg;
   eng
 
+let oracle ?base batches =
+  let eng = match base with Some e -> e | None -> L.Engine.create () in
+  List.iter
+    (fun (name, schema, rows) -> ignore (L.Engine.register_rows eng ~name ~schema rows))
+    batches;
+  eng
+
 let profile eng =
   let cat = L.Engine.catalog eng in
   L.Catalog.names cat

@@ -37,6 +37,16 @@ val build : ?layout_stress:bool -> unit -> Levelheaded.Engine.t
     key tuples, the executor's count-only leaves. The base tables are
     bit-identical in both modes. *)
 
+val oracle :
+  ?base:Levelheaded.Engine.t ->
+  (string * Lh_storage.Schema.t * Lh_storage.Dtype.value list list) list ->
+  Levelheaded.Engine.t
+(** The acknowledged-state oracle of the recovery and concurrency
+    harnesses: [base] (default a fresh empty engine, mutated in place)
+    after registering each [(table, schema, rows)] batch in order, a
+    batch replacing any earlier table of its name — the sequential state
+    every acknowledged ingest promises. *)
+
 val profile : Levelheaded.Engine.t -> profile
 (** Scans every registered table once: the schema plus per-column value
     ranges / string vocabularies the generator draws filter constants

@@ -19,6 +19,8 @@ module Dtype = Lh_storage.Dtype
 module Dense = Lh_blas.Dense
 module Csr = Lh_blas.Csr
 module Rows = Lh_qgen.Rows
+module Crashtest = Lh_qgen.Crashtest
+module Serve = Lh_serve.Serve
 
 (* Every test leaves the process-global registry disarmed, whatever
    happens inside. *)
@@ -308,6 +310,89 @@ let test_crashtest_smoke () =
   if not (Lh_qgen.Crashtest.ok summary) then
     Alcotest.failf "crashtest failed:\n%s" (Lh_qgen.Crashtest.to_text summary)
 
+(* ---- the crash-only trial driver, on fake steps ---- *)
+
+(* A synthetic site: the [test.*] prefix is exempt from the sweep's
+   coverage check. *)
+let trial_site = Fault.site "test.trial"
+
+(* Hit the site; a fault comes back as the error [to_error] makes of it. *)
+let hit_then to_error =
+  match Fault.hit trial_site with () -> Ok () | exception e -> Error (to_error e)
+
+let typed e = Serve.Engine_error (L.Engine.error_of_exn e)
+
+let show = function
+  | None -> "unreached"
+  | Some Crashtest.Passed -> "passed"
+  | Some (Crashtest.Excused m) -> "excused: " ^ m
+  | Some (Crashtest.Failed m) -> "failed: " ^ m
+
+(* [want]: [None], [Some Passed], or [Some (Failed p)] for a failure
+   message starting with [p]. *)
+let trial_case name ~want ?(check = fun _ () -> Ok ()) step =
+  Alcotest.test_case name `Quick (fun () ->
+      let got =
+        with_disarm (fun () ->
+            Crashtest.trial ~site:"test.trial" ~fixture:ignore ~step ~check ())
+      in
+      match (want, got) with
+      | None, None | Some Crashtest.Passed, Some Crashtest.Passed -> ()
+      | Some (Crashtest.Failed p), Some (Crashtest.Failed m) when String.starts_with ~prefix:p m
+        -> ()
+      | _ -> Alcotest.failf "want %s, got %s" (show want) (show got))
+
+let trial_cases =
+  [
+    trial_case "typed error + clean recovery passes" ~want:(Some Crashtest.Passed) (fun () ->
+        hit_then typed);
+    trial_case "swallowed fault fails"
+      ~want:(Some (Crashtest.Failed "generic: the fault fired but the step succeeded"))
+      (fun () ->
+        (try Fault.hit trial_site with Fault.Injected _ -> ());
+        Ok ());
+    trial_case "site never hit is unreached" ~want:None (fun () -> Ok ());
+    trial_case "timeout surfacing as Fault_injected fails"
+      ~want:(Some (Crashtest.Failed "timeout: expected the typed fault error"))
+      (fun () ->
+        hit_then (fun _ -> Serve.Engine_error (L.Engine.Error.Fault_injected "test.trial")));
+    trial_case "Serve.Closed fails"
+      ~want:(Some (Crashtest.Failed "generic: expected the typed fault error"))
+      (fun () -> hit_then (fun _ -> Serve.Closed "service"));
+    trial_case "raw exception escaping the step fails"
+      ~want:(Some (Crashtest.Failed "generic: unhandled exception"))
+      (fun () ->
+        Fault.hit trial_site;
+        Ok ());
+    trial_case "recovery check with different rows fails"
+      ~want:(Some (Crashtest.Failed "generic: "))
+      ~check:(fun _ () ->
+        match Rows.diff ~expect:[ [ Dtype.VFloat 1.0 ] ] ~got:[ [ Dtype.VFloat 2.0 ] ] with
+        | None -> Ok ()
+        | Some d -> Error d)
+      (fun () -> hit_then typed);
+  ]
+
+(* One fresh fixture per kind, each released, and the registry left
+   disarmed even when the step raises. *)
+let test_trial_fixture_lifecycle () =
+  let made = ref 0 and released = ref 0 in
+  ignore
+    (with_disarm (fun () ->
+         Crashtest.trial ~site:"test.trial" ~release:(fun () -> incr released)
+           ~fixture:(fun () -> incr made)
+           ~step:(fun () -> hit_then typed)
+           ~check:(fun _ () -> Ok ())
+           ()));
+  Alcotest.(check int) "a fixture per kind" 3 !made;
+  Alcotest.(check int) "every fixture released" 3 !released;
+  ignore
+    (Crashtest.trial ~site:"test.trial" ~fixture:ignore
+       ~step:(fun () -> failwith "boom")
+       ~check:(fun _ () -> Ok ())
+       ());
+  Alcotest.(check (list string)) "registry disarmed" [] (Fault.armed_sites ())
+
 (* ---- property: any injected fault => typed error + correct re-query ---- *)
 
 let gen_inject =
@@ -396,6 +481,8 @@ let () =
       ( "budget",
         [ Alcotest.test_case "kernels obey the budget" `Quick test_budget_checked_in_kernels ] );
       ( "crashtest",
-        [ Alcotest.test_case "every fault site recovers" `Quick test_crashtest_smoke ] );
+        Alcotest.test_case "every fault site recovers" `Quick test_crashtest_smoke
+        :: Alcotest.test_case "trial fixture lifecycle" `Quick test_trial_fixture_lifecycle
+        :: trial_cases );
       ("property", [ qcheck_fault_recovery ]);
     ]

@@ -175,6 +175,42 @@ let test_submit_await () =
   List.iter (fun tk -> check_sum "async sum" 0 (Serve.await tk)) tickets;
   Serve.close svc
 
+(* ---- shutdown ---- *)
+
+(* A pin held across a shutdown drain: the in-flight query finishes on
+   the pinned epoch, closing releases the pin so only the current epoch
+   stays live, and every entry point then reports [Closed]. *)
+let test_shutdown_drains_pinned () =
+  Pool.ensure_workers (Pool.global ()) 2;
+  let _, svc = fresh_service () in
+  let s = Serve.open_session svc in
+  let e1 = Serve.pin s in
+  let p = Result.get_ok (Serve.prepare s q_sum) in
+  ignore (Result.get_ok (Serve.ingest_rows svc ~name:"t" ~schema (rows 1)));
+  Alcotest.(check int) "pinned and current epochs live" 2 (List.length (Serve.epochs svc));
+  let ticket = Serve.submit s q_sum in
+  Alcotest.(check bool) "drained before the deadline" true (Serve.shutdown svc);
+  let r = Serve.await ticket in
+  check_sum "in-flight query" 0 r;
+  Alcotest.(check int) "ran on the pinned epoch" e1 (snd (Result.get_ok r));
+  Alcotest.(check int) "pinned epoch reclaimed" 1 (List.length (Serve.epochs svc));
+  let closed what = function
+    | Error (Serve.Closed w) -> Alcotest.(check string) what "service" w
+    | Error e -> Alcotest.failf "%s: %s" what (Serve.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s succeeded after shutdown" what
+  in
+  closed "query" (Serve.query s q_sum);
+  closed "exec_prepared" (Serve.exec_prepared p []);
+  closed "ingest_rows" (Serve.ingest_rows svc ~name:"t" ~schema (rows 2));
+  let raises what expect f =
+    match f () with
+    | _ -> Alcotest.failf "%s succeeded after shutdown" what
+    | exception Serve.Error (Serve.Closed w) -> Alcotest.(check string) what expect w
+  in
+  raises "pin" "session" (fun () -> ignore (Serve.pin s));
+  raises "open_session" "service" (fun () -> ignore (Serve.open_session svc));
+  Alcotest.(check bool) "second shutdown" true (Serve.shutdown svc)
+
 (* A real race: one domain queries in a loop while this domain ingests
    new generations. Every result must match exactly one generation's
    expectation — never a blend. *)
@@ -359,6 +395,7 @@ let () =
         [
           Alcotest.test_case "submit/await" `Quick test_submit_await;
           Alcotest.test_case "reader races ingest" `Quick test_concurrent_reader_vs_ingest;
+          Alcotest.test_case "shutdown drains a pinned session" `Quick test_shutdown_drains_pinned;
         ] );
       ("interleavings", [ qcheck_interleavings ]);
       ( "pool-jobs",
