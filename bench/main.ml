@@ -124,10 +124,16 @@ let smoke params =
   let dt, _ = Lh_datagen.Matrices.dense ~dict ~name:"smoke_dense" ~n:16 () in
   L.Engine.register eng dt;
   let reports = ref [] in
+  (* (label, profile plan) of every analyzed cell: the count-only check
+     below reads the root bag's leaf disposition from it. *)
+  let plans = ref [] in
   let analyze label sql =
     let result, _, rep = L.Engine.query_analyze eng sql in
     Printf.printf "smoke %-24s %6d rows  %s\n%!" label result.Lh_storage.Table.nrows
       (Lh_util.Timing.duration_to_string rep.Report.total_s);
+    Option.iter
+      (fun (p : L.Profile.t) -> plans := (label, p.L.Profile.p_plan) :: !plans)
+      (L.Engine.last_profile eng);
     reports := (label, rep) :: !reports
   in
   (* table2-bi: the scan path (Q1) and a join (Q3). *)
@@ -143,7 +149,8 @@ let smoke params =
   (* layouts: count-only WCOJ leaves over distinct-key cycles. The dense
      16x16 matrix keeps every trie set in the bitset layout (bs∩bs plus
      buffered intersections at the outer positions); the strided sparse
-     edge list stays uint (merge/gallop count kernels). *)
+     edge list stays uint (merge/gallop at the outer position — none of
+     its 2-paths closes, so its count leaf is never reached). *)
   let edge_schema =
     Lh_storage.Schema.create
       [ ("row", Lh_storage.Dtype.Int, Lh_storage.Schema.Key);
@@ -303,15 +310,25 @@ let smoke params =
   let saved = L.Engine.config eng in
   L.Engine.set_config eng { saved with L.Config.domains = 2 };
   let analyze_par label sql =
-    let result, _, rep = L.Engine.query_analyze eng sql in
-    Printf.printf "smoke %-24s %6d rows  %s\n%!" label result.Lh_storage.Table.nrows
-      (Lh_util.Timing.duration_to_string rep.Report.total_s);
-    par_reports := (label, rep) :: !par_reports;
-    reports := (label, rep) :: !reports
+    analyze label sql;
+    par_reports := List.hd !reports :: !par_reports
   in
   analyze_par "parallel/join@2" Queries.q3;
   analyze_par "parallel/smv@2" smv;
   analyze_par "parallel/dmm-blas@2" (Queries.dmm ~matrix:"smoke_dense");
+  (* One join key: the count-only leaf is position 0 itself, so it must
+     count once as one unsplit unit at any domain count. *)
+  let key_schema =
+    Lh_storage.Schema.create [ ("k", Lh_storage.Dtype.Int, Lh_storage.Schema.Key) ]
+  in
+  List.iter
+    (fun (name, step) ->
+      ignore
+        (L.Engine.register_rows eng ~name ~schema:key_schema
+           (List.init 200 (fun i -> [ Lh_storage.Dtype.VInt (i * step) ]))))
+    [ ("smoke_ka", 1); ("smoke_kb", 3) ];
+  analyze_par "parallel/count@2"
+    "select count(*) as c from smoke_ka a, smoke_kb b where a.k = b.k";
   L.Engine.set_config eng saved;
   (* ---- assertions ---- *)
   let reports = !reports in
@@ -428,6 +445,20 @@ let smoke params =
         !problems)
       !par_reports
   in
+  (* A plan that reads leaf=count must fold its matches through count-only
+     leaves, whatever its domain count. A cell whose walk never reaches
+     the innermost position (layouts/tri-sparse: no 2-path of its edge
+     list closes) has no leaf ticks and nothing to count. *)
+  let bad_count_only =
+    List.filter_map
+      (fun (label, plan) ->
+        let r = List.assoc label reports in
+        let count_only = counter_of r "set.count_only" in
+        if Lh_util.Text.contains ~sub:"leaf=count" plan && counter_of r "wcoj.leaf_ticks" > 0 && count_only < 1 then
+          Some (Printf.sprintf "%s: plan reads leaf=count, set.count_only = %d" label count_only)
+        else None)
+      !plans
+  in
   (* Profile / histogram / slow-log assertions. *)
   let bad_profile =
     let problems = ref [] in
@@ -466,7 +497,7 @@ let smoke params =
      would degrade every query report. Warn on one, fail on two. *)
   let coverage_failures = if List.length bad_coverage >= 2 then bad_coverage else [] in
   if missing = [] && zero = [] && coverage_failures = [] && bad_parallel = [] && bad_plancache = []
-     && bad_profile = [] && !bad_serve = [] && !bad_durable = []
+     && bad_count_only = [] && bad_profile = [] && !bad_serve = [] && !bad_durable = []
   then begin
     List.iter
       (fun msg -> Printf.printf "smoke warn: %s (single stall tolerated)\n" msg)
@@ -481,6 +512,7 @@ let smoke params =
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) coverage_failures;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) bad_parallel;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) bad_plancache;
+    List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) bad_count_only;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) bad_profile;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) !bad_serve;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) !bad_durable;

@@ -266,18 +266,13 @@ let load_csv t ~name ~schema ?sep path =
       invalidate_caches t;
       Catalog.load_csv t.cat ~name ~schema ~domains:(max 1 t.cfg.Config.domains) ?sep path)
 
-(* Durable-checkpoint writer and loader (see Lh_durable.Store): the dump
-   decodes every relation back to rows in deterministic (sorted-name)
-   order; restore is a batch of ordinary registrations, so replaying a
-   recovered checkpoint + WAL suffix re-encodes strings against this
-   engine's dictionary exactly like the original ingests did. *)
+(* Durable-checkpoint writer (see Lh_durable.Store): every relation
+   decoded back to rows in deterministic (sorted-name) order. Recovery
+   replays them as ordinary registrations, re-encoding strings against
+   the recovering engine's dictionary exactly like the original ingests
+   did. *)
 let dump t =
   List.map (fun tbl -> (tbl.T.name, tbl.T.schema, T.to_rows tbl)) (Catalog.tables t.cat)
-
-let restore t batches =
-  List.iter
-    (fun (name, schema, rows) -> ignore (register_rows t ~name ~schema rows))
-    batches
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

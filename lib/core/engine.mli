@@ -98,14 +98,10 @@ val dict : t -> Lh_storage.Dict.t
 
 val dump : t -> (string * Lh_storage.Schema.t * Lh_storage.Dtype.value list list) list
 (** Every relation decoded back to rows, in sorted-name order — the
-    checkpoint writer's input (see [Lh_durable.Store.checkpoint]). *)
-
-val restore :
-  t -> (string * Lh_storage.Schema.t * Lh_storage.Dtype.value list list) list -> unit
-(** The checkpoint/WAL loader: registers each batch in order (ordinary
-    {!register_rows} semantics — whole-table replacement, so replaying a
-    recovered log lands on the state at the last durable sequence).
-    Raises {!Error} like any ingest. *)
+    checkpoint writer's input (see [Lh_durable.Store.checkpoint]).
+    Recovery replays a checkpoint and its WAL suffix through
+    [Lh_durable.Store.replay_into] with {!register_rows} (whole-table
+    replacement), landing on the state at the last durable sequence. *)
 
 (** {2 Snapshots}
 

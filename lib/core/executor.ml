@@ -358,15 +358,14 @@ type ctx = {
   spa_in : bool array;
 }
 
+(* Every relation's descent stack, each level at its trie root. *)
+let root_stacks (input : bag_input) =
+  Array.map (fun (r : xrel) -> Array.make (max (List.length r.xlevels) 1) r.xtrie.Trie.root) input.rels
+
 let make_ctx (input : bag_input) =
   let nrels = Array.length input.rels in
   {
-    stacks =
-      Array.map
-        (fun (r : xrel) ->
-          let st = Array.make (max (List.length r.xlevels) 1) r.xtrie.Trie.root in
-          st)
-        input.rels;
+    stacks = root_stacks input;
     cur_groups = Array.make nrels [||];
     vals = Array.make (max input.npos 1) 0;
     picked = Array.make nrels { Trie.codes = [||]; vec = [||]; mult = 1.0 };
@@ -539,13 +538,6 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
     done
   in
 
-  let prefix_key ctx m =
-    (* Group key for the sorted path: the first m positions, plus the last
-       one on the relaxed shape. *)
-    if input.relaxed_tail then Array.init (m + 1) (fun i -> if i < m then ctx.vals.(i) else ctx.vals.(npos - 1))
-    else Array.init m (fun i -> ctx.vals.(i))
-  in
-
   let fold_for_leaf =
     let fold =
       match (input.boundary, input.relaxed_tail) with
@@ -587,65 +579,67 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
   in
   (* Buffered intersection at [pos] into the position's pinned buffer:
      never allocates after warm-up (Vec clear keeps capacity). *)
+  let intersect stacks buf tmp pos =
+    (* [pos]'s participating sets, read off [stacks], intersected into
+       [buf]; [tmp] is the n-way scratch. *)
+    let rs = parts.(pos) and ls = plevel.(pos) in
+    match Array.length rs with
+    | 2 -> Intersect.inter_into buf stacks.(rs.(0)).(ls.(0)).Trie.set stacks.(rs.(1)).(ls.(1)).Trie.set
+    | n -> Intersect.inter_many_into buf tmp (List.init n (fun k -> stacks.(rs.(k)).(ls.(k)).Trie.set))
+  in
   let inter_to_buf ctx pos =
     let buf = ctx.ibufs.(pos) in
     if ctx.ibuf_used.(pos) then ctx.breuse <- ctx.breuse + 1 else ctx.ibuf_used.(pos) <- true;
     ctx.isects <- ctx.isects + 1;
-    let rs = parts.(pos) and ls = plevel.(pos) in
-    (match Array.length rs with
-    | 2 ->
-        let a = ctx.stacks.(rs.(0)).(ls.(0)).Trie.set in
-        let b = ctx.stacks.(rs.(1)).(ls.(1)).Trie.set in
-        Intersect.inter_into buf a b
-    | n ->
-        let sets = List.init n (fun k -> ctx.stacks.(rs.(k)).(ls.(k)).Trie.set) in
-        Intersect.inter_many_into buf ctx.itmps.(pos) sets);
+    intersect ctx.stacks buf ctx.itmps.(pos) pos;
     buf
-  in
-  (* The outermost position's matches, which the parallel drivers split:
-     the lone participant's set, or a copy of the buffered intersection. *)
-  let first_values ctx =
-    match parts.(0) with
-    | [| ri |] -> Set_.to_array ctx.stacks.(ri).(plevel.(0).(0)).Trie.set
-    | _ -> Vec.Int.to_array (inter_to_buf ctx 0)
   in
   (* The one position whose matches are counted rather than iterated. *)
   let count_at = match input.kmode with Compile.Leaf.Count -> npos - 1 | Stream -> -1 in
 
-  let rec walk ctx pos ~wrapped =
-    (* The boundary test comes first: when the GROUP BY covers every
-       position, the flush must wrap the (empty) suffix at pos = npos. *)
-    if (not wrapped) && input.boundary = Some pos then begin
-      (* Entering the aggregated suffix: reset accumulators, run the
-         subtree, then flush this group's row(s). *)
-      (match input.relaxed_tail with
-      | false ->
-          for j = 0 to nslots - 1 do
-            ctx.accum.(j) <- input.zeros_x.(j)
-          done;
-          ctx.touched <- false;
-          walk ctx pos ~wrapped:true;
-          (* A scalar aggregate (empty group key) yields its row even when
-             nothing matched; grouped output only materializes matched
-             groups. *)
-          if ctx.touched || pos = 0 then
-            ctx.out := { gcodes = prefix_key ctx pos; slots = Array.copy ctx.accum } :: !(ctx.out)
-      | true ->
-          Vec.Int.clear ctx.spa_touched;
-          walk ctx pos ~wrapped:true;
-          let touched = Vec.Int.to_array ctx.spa_touched in
-          Array.sort compare touched;
-          Array.iter
-            (fun v ->
-              let slots = Array.init nslots (fun j -> ctx.spa.(j).(v)) in
-              let gcodes =
-                Array.init (pos + 1) (fun i -> if i < pos then ctx.vals.(i) else v)
-              in
-              ctx.out := { gcodes; slots } :: !(ctx.out);
-              ctx.spa_in.(v) <- false)
-            touched)
+  (* The sorted-emit GROUP BY boundary: [reset] zeroes the accumulators on
+     entering the aggregated suffix, [flush] emits its group row(s) on
+     leaving it. [walk] wraps the boundaries at positions > 0; the one at
+     position 0 is the driver's prologue and epilogue. *)
+  let reset ctx =
+    if input.relaxed_tail then Vec.Int.clear ctx.spa_touched
+    else begin
+      for j = 0 to nslots - 1 do
+        ctx.accum.(j) <- input.zeros_x.(j)
+      done;
+      ctx.touched <- false
     end
-    else if pos = npos then leaf ctx fold_for_leaf
+  in
+  let flush ctx pos =
+    if input.relaxed_tail then begin
+      let touched = Vec.Int.to_array ctx.spa_touched in
+      Array.sort compare touched;
+      Array.iter
+        (fun v ->
+          let slots = Array.init nslots (fun j -> ctx.spa.(j).(v)) in
+          let gcodes = Array.init (pos + 1) (fun i -> if i < pos then ctx.vals.(i) else v) in
+          ctx.out := { gcodes; slots } :: !(ctx.out);
+          ctx.spa_in.(v) <- false)
+        touched
+    end
+    else if ctx.touched || pos = 0 then
+      (* A scalar aggregate (empty group key) yields its row even when
+         nothing matched; grouped output only materializes matched groups. *)
+      ctx.out := { gcodes = Array.sub ctx.vals 0 pos; slots = Array.copy ctx.accum } :: !(ctx.out)
+  in
+  let inner_boundary = match input.boundary with Some m when m > 0 -> m | _ -> -1 in
+
+  (* The boundary test comes first: when the GROUP BY covers every
+     position, the flush must wrap the (empty) suffix at pos = npos. *)
+  let rec walk ctx pos =
+    if pos = inner_boundary then begin
+      reset ctx;
+      descend ctx pos;
+      flush ctx pos
+    end
+    else descend ctx pos
+  and descend ctx pos =
+    if pos = npos then leaf ctx fold_for_leaf
     else if pos = count_at then begin
       (* Count-only innermost position: the intersection cardinality is the
          only thing the leaf needs — never materialize nor iterate it. *)
@@ -658,9 +652,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
             let a = ctx.stacks.(rs.(0)).(ls.(0)).Trie.set in
             let b = ctx.stacks.(rs.(1)).(ls.(1)).Trie.set in
             Intersect.count a b
-        | _ ->
-            let buf = inter_to_buf ctx pos in
-            Vec.Int.length buf
+        | _ -> Vec.Int.length (inter_to_buf ctx pos)
       in
       leaf_counted ctx n
     end
@@ -675,7 +667,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
           ctx.vals.(pos) <- v;
           if last then ctx.cur_groups.(ri) <- Array.unsafe_get node.Trie.groups rank
           else ctx.stacks.(ri).(l + 1) <- Array.unsafe_get node.Trie.children rank;
-          walk ctx (pos + 1) ~wrapped:false)
+          walk ctx (pos + 1))
         node.Trie.set
     end
     else if pos = npos - 1 && Array.length parts.(pos) = 2 then begin
@@ -689,7 +681,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         (fun v ->
           ctx.vals.(pos) <- v;
           advance ctx pos v;
-          walk ctx (pos + 1) ~wrapped:false)
+          walk ctx (pos + 1))
         a b
     end
     else begin
@@ -702,13 +694,11 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         let v = Array.unsafe_get arr i in
         ctx.vals.(pos) <- v;
         advance ctx pos v;
-        walk ctx (pos + 1) ~wrapped:false
+        walk ctx (pos + 1)
       done
     end
   in
 
-  (* Scalar queries still flush once even when npos = 0-deep boundary and
-     the relation set is empty of matches. *)
   let finalize ctx =
     match input.boundary with
     | None ->
@@ -716,18 +706,12 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         if rows = [] && Array.length input.gb = 0 then
           (* scalar aggregate over an empty match set: one identity row
              (each slot's ⊕ identity: 0 for (+,×), ∞ for (min,+), …),
-             same as the sorted-emit pos-0 wrap above *)
+             same as the sorted-emit flush at position 0 *)
           [ { gcodes = [||]; slots = Array.copy input.zeros_x } ]
         else List.sort (fun a b -> compare a.gcodes b.gcodes) rows
     | Some _ -> List.rev !(ctx.out)
   in
 
-  (* boundary = Some 0 with a relaxed tail is NOT a scalar query: the
-     group key is the last position's value. It must run sequentially
-     (the chunked walk would skip the pos-0 wrap). *)
-  let scalar = input.boundary = Some 0 && not input.relaxed_tail in
-  let must_be_sequential = input.boundary = Some 0 && input.relaxed_tail in
-  let domains = max 1 cfg.Config.domains in
   (* Per-ctx tick/intersection tallies are plain fields; they reach the
      shared atomic counters exactly once per bag, here. *)
   let flush_stats ctx =
@@ -739,90 +723,90 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
       Obs.set_max g_peak_words (Gc.quick_stat ()).Gc.heap_words
     end
   in
-  let merge_stats a b =
+  (* Chunk [b] follows chunk [a] in position-0 order. Below a boundary at
+     position 0 every group lies inside one chunk, so rows concatenate; at
+     it the chunks share groups, and [b]'s partial accumulators fold into
+     [a] like one more leaf contribution each. *)
+  let merge a b =
+    (match (input.boundary, input.relaxed_tail) with
+    | None, _ ->
+        Hashtbl.iter
+          (fun k v ->
+            match Hashtbl.find_opt a.hash k with
+            | Some acc ->
+                for j = 0 to nslots - 1 do
+                  acc.(j) <- input.adds_x.(j) acc.(j) v.(j)
+                done
+            | None -> Hashtbl.replace a.hash k v)
+          b.hash
+    | Some 0, false ->
+        Array.blit b.accum 0 a.scratch 0 nslots;
+        fold_sorted a
+    | Some 0, true ->
+        Vec.Int.iter
+          (fun v ->
+            a.vals.(npos - 1) <- v;
+            for j = 0 to nslots - 1 do
+              a.scratch.(j) <- b.spa.(j).(v)
+            done;
+            fold_spa a)
+          b.spa_touched
+    | Some _, _ -> a.out := !(b.out) @ !(a.out));
     a.ticks <- a.ticks + b.ticks;
     a.isects <- a.isects + b.isects;
     a.count_leaves <- a.count_leaves + b.count_leaves;
-    a.breuse <- a.breuse + b.breuse
+    a.breuse <- a.breuse + b.breuse;
+    a
   in
-  Obs.set_max g_domains domains;
-  if npos = 0 then begin
-    (* Degenerate: no vertices (handled by the scan path normally). *)
+  let init () =
     let ctx = make_ctx input in
-    walk ctx 0 ~wrapped:false;
-    flush_stats ctx;
-    finalize ctx
-  end
-  else if domains = 1 || scalar || must_be_sequential then begin
-    (* Sequential (scalar parallel merge handled below when domains>1). *)
-    if domains > 1 && scalar then begin
-      (* Parallel scalar: chunk the first intersection, merge accums. *)
-      let proto = make_ctx input in
-      let first = first_values proto in
-      let merged =
-        Lh_util.Parfor.map_reduce ~domains ~n:(Array.length first)
-          ~init:(fun () ->
-            let ctx = make_ctx input in
-            for j = 0 to nslots - 1 do
-              ctx.accum.(j) <- input.zeros_x.(j)
-            done;
-            ctx)
-          ~body:(fun ctx i ->
-            let v = first.(i) in
-            ctx.vals.(0) <- v;
-            advance ctx 0 v;
-            walk ctx 1 ~wrapped:true)
-          ~merge:(fun a b ->
-            for j = 0 to nslots - 1 do
-              a.accum.(j) <- input.adds_x.(j) a.accum.(j) b.accum.(j)
-            done;
-            a.touched <- a.touched || b.touched;
-            merge_stats a b;
-            a)
-      in
-      merge_stats merged proto;
-      flush_stats merged;
-      [ { gcodes = [||]; slots = Array.copy merged.accum } ]
-    end
-    else begin
-      let ctx = make_ctx input in
-      walk ctx 0 ~wrapped:false;
-      flush_stats ctx;
-      finalize ctx
-    end
-  end
-  else begin
-    (* Parallel over the outermost intersection (§III-D). *)
-    let proto = make_ctx input in
-    let first = first_values proto in
-    let results =
-      Lh_util.Parfor.map_reduce ~domains ~n:(Array.length first)
-        ~init:(fun () -> make_ctx input)
-        ~body:(fun ctx i ->
-          let v = first.(i) in
-          ctx.vals.(0) <- v;
-          advance ctx 0 v;
-          walk ctx 1 ~wrapped:false)
-        ~merge:(fun a b ->
-          (match input.boundary with
-          | None ->
-              Hashtbl.iter
-                (fun k v ->
-                  match Hashtbl.find_opt a.hash k with
-                  | Some acc ->
-                      for j = 0 to nslots - 1 do
-                        acc.(j) <- input.adds_x.(j) acc.(j) v.(j)
-                      done
-                  | None -> Hashtbl.replace a.hash k v)
-                b.hash
-          | Some _ -> a.out := !(b.out) @ !(a.out));
-          merge_stats a b;
-          a)
-    in
-    merge_stats results proto;
-    flush_stats results;
-    finalize results
-  end
+    if input.boundary = Some 0 then reset ctx;
+    ctx
+  in
+  let domains = max 1 cfg.Config.domains in
+  Obs.set_max g_domains domains;
+  (* The one driver (§III-D): the units are position 0's values,
+     materialized once and split into contiguous chunks, one per domain,
+     each walked with a private ctx. With one domain, or when position 0
+     is not iterated (no vertices, or its matches only counted), the bag
+     is a single unit that walks position 0 in place like any other
+     position, so nothing is materialized or copied. *)
+  let n, body, isects =
+    if domains = 1 || npos = 0 || count_at = 0 then (1, (fun ctx _ -> walk ctx 0), 0)
+    else
+      let stacks = root_stacks input in
+      match parts.(0) with
+      | [| ri |] ->
+          (* A lone participant: the index is the rank, no search. *)
+          let node = stacks.(ri).(0) in
+          let values = Set_.to_array node.Trie.set in
+          let last = plast.(0).(0) in
+          ( Array.length values,
+            (fun ctx i ->
+              ctx.vals.(0) <- Array.unsafe_get values i;
+              if last then ctx.cur_groups.(ri) <- Array.unsafe_get node.Trie.groups i
+              else ctx.stacks.(ri).(1) <- Array.unsafe_get node.Trie.children i;
+              walk ctx 1),
+            0 )
+      | _ ->
+          (* The intersection, entered like any interior position. It runs
+             before any chunk ctx exists, so the bag's ctx tallies it. *)
+          let buf = Vec.Int.create () in
+          intersect stacks buf (Vec.Int.create ()) 0;
+          let values = Vec.Int.unsafe_inner buf in
+          ( Vec.Int.length buf,
+            (fun ctx i ->
+              let v = Array.unsafe_get values i in
+              ctx.vals.(0) <- v;
+              advance ctx 0 v;
+              walk ctx 1),
+            1 )
+  in
+  let ctx = Lh_util.Parfor.map_reduce ~domains ~n ~init ~body ~merge in
+  ctx.isects <- ctx.isects + isects;
+  if input.boundary = Some 0 then flush ctx 0;
+  flush_stats ctx;
+  finalize ctx
 
 (* ------------------------------------------------------------------ *)
 (* Node orchestration (Yannakakis bottom-up)                            *)

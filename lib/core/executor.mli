@@ -22,7 +22,17 @@
     innermost position runs one of two leaf modes, decided once per bag
     execution by {!Compile.Leaf.mode}: [Count] folds the intersection's
     cardinality without iterating it, [Stream] iterates its matches
-    straight into the fold. *)
+    straight into the fold.
+
+    Every bag runs through one driver (§III-D): position 0's values are
+    materialized once and split into contiguous chunks by
+    {!Lh_util.Parfor.map_reduce}, each walked with a private execution
+    context, and the contexts merge in chunk order (hash tables,
+    sorted-emit rows, the scalar accumulator or the sparse accumulator).
+    With one domain, or when position 0 is not iterated (no vertices, or
+    a count-only leaf at position 0), the bag is one unsplit unit that
+    walks position 0 in place, so a [Count] leaf counts at every domain
+    count. *)
 
 type pnode = {
   pbag : Ghd.bag;

@@ -75,9 +75,9 @@ val create :
     [store] attaches a durable store (see {!Lh_durable.Store}): every
     ingest is then logged to the WAL {e before} it is published, and the
     caller's acknowledgement implies the batch reached the configured
-    sync point — restart recovery ({!Lh_durable.Store.open_dir} +
-    {!Engine.restore} before [create]) lands on the last acknowledged
-    state. [checkpoint_every] (default [LH_CHECKPOINT_EVERY], 0 = never)
+    sync point — restart recovery ({!Lh_durable.Store.open_dir}, then
+    {!Lh_durable.Store.replay_into} with {!Engine.register_rows}, before
+    [create]) lands on the last acknowledged state. [checkpoint_every] (default [LH_CHECKPOINT_EVERY], 0 = never)
     snapshots the whole catalog and resets the WAL every that many
     durable ingests. *)
 

@@ -123,11 +123,7 @@ let test_injected_bug_detected_and_shrunk () =
   List.iter
     (fun d ->
       let s = Diff.discrepancy_to_string d in
-      let has needle =
-        let ln = String.length needle and ls = String.length s in
-        let rec go i = i + ln <= ls && (String.sub s i ln = needle || go (i + 1)) in
-        go 0
-      in
+      let has needle = Lh_util.Text.contains ~sub:needle s in
       Alcotest.(check bool) "replay seed printed" true (has "--seed 42");
       Alcotest.(check bool) "replay index printed" true
         (has (Printf.sprintf "--index %d" d.Diff.d_index));

@@ -342,11 +342,6 @@ let test_custom_semiring_registry () =
     (Table.to_rows t
     = [ [ Dtype.VInt 0; Dtype.VFloat 4.5 ]; [ Dtype.VInt 1; Dtype.VFloat 2.0 ] ])
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
-  n = 0 || go 0
-
 let test_explain_semiring () =
   let e = fresh_engine () in
   register_matrix e "g" [ (0, 1, 1.0); (1, 2, 2.0) ];
@@ -354,7 +349,7 @@ let test_explain_semiring () =
     L.Engine.explain e
       "select x.row, min_plus(x.v + y.v) d from g x, g y where x.col = y.row group by x.row"
   in
-  Alcotest.(check bool) "plan names the semiring" true (contains ~sub:"min_plus" ex.L.Engine.etext)
+  Alcotest.(check bool) "plan names the semiring" true (Lh_util.Text.contains ~sub:"min_plus" ex.L.Engine.etext)
 
 let test_result_api () =
   let e = fresh_engine () in

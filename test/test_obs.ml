@@ -15,11 +15,6 @@ module Dtype = Lh_storage.Dtype
 
 let cval name (r : Report.t) = Option.value (List.assoc_opt name r.Report.counters) ~default:0
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* ---- counters and gauges ---- *)
 
 let test_counter_disabled_noop () =
@@ -122,7 +117,7 @@ let test_span_error_tag () =
             (List.assoc_opt "error" good.Obs.sargs = None);
           match List.assoc_opt "error" bad.Obs.sargs with
           | Some msg ->
-              Alcotest.(check bool) "tag names the exception" true (contains msg "boom")
+              Alcotest.(check bool) "tag names the exception" true (Lh_util.Text.contains ~sub:"boom" msg)
           | None -> Alcotest.fail "exceptional exit not tagged with an error arg")
       | ss -> Alcotest.failf "expected two spans, got %d" (List.length ss))
 
@@ -399,7 +394,7 @@ let test_baseline_self_compare () =
   Alcotest.(check bool) "ok" true (Baseline.ok v);
   Alcotest.(check int) "no regressions" 0 (List.length v.Baseline.regressions);
   Alcotest.(check int) "no warnings" 0 (List.length v.Baseline.warnings);
-  Alcotest.(check bool) "text verdict" true (contains (Baseline.to_text v) "baseline compare ok")
+  Alcotest.(check bool) "text verdict" true (Lh_util.Text.contains ~sub:"baseline compare ok" (Baseline.to_text v))
 
 let test_baseline_regression_detected () =
   let v =
@@ -408,7 +403,7 @@ let test_baseline_regression_detected () =
   in
   Alcotest.(check bool) "gate fires" false (Baseline.ok v);
   Alcotest.(check int) "exactly one regression" 1 (List.length v.Baseline.regressions);
-  Alcotest.(check bool) "text flags it" true (contains (Baseline.to_text v) "REGRESSION: a");
+  Alcotest.(check bool) "text flags it" true (Lh_util.Text.contains ~sub:"REGRESSION: a" (Baseline.to_text v));
   (* an improvement is a note, never a regression *)
   let v2 = Baseline.compare_runs ~baseline:[ bcell "a" 0.4 ] ~current:[ bcell "a" 0.1 ] () in
   Alcotest.(check bool) "improvement ok" true (Baseline.ok v2);
@@ -472,7 +467,7 @@ let test_profile_ok_outcome () =
           Alcotest.(check bool) "outcome ok" true (p.L.Profile.p_outcome = L.Profile.Ok_result);
           Alcotest.(check string) "path" "wcoj" p.L.Profile.p_path;
           Alcotest.(check bool) "plan summarizes the GHD" true
-            (contains p.L.Profile.p_plan "fhw");
+            (Lh_util.Text.contains ~sub:"fhw" p.L.Profile.p_plan);
           Alcotest.(check int) "rows_out" tbl.Table.nrows p.L.Profile.p_rows_out;
           Alcotest.(check bool) "rows_in counts base tables" true (p.L.Profile.p_rows_in >= 3);
           Alcotest.(check bool) "total > 0" true (p.L.Profile.p_total_s > 0.0);

@@ -371,9 +371,21 @@ let register_matrix e name triplets =
     (Table.create ~name ~schema:Lh_datagen.Matrices.matrix_schema ~dict:(L.Engine.dict e)
        [| Table.Icol rows; Table.Icol cols; Table.Fcol vals |])
 
-let chain_sql =
-  "select a.row, sum(a.v * b.v * c.v) s, count(*) n from a, b, c where a.col = b.row and b.col \
-   = c.row and c.v > -2 group by a.row"
+(* Each shape reaches a different merge of the one chunked bag driver:
+   the grouped chain (sorted-prefix rows concatenated in chunk order), a
+   scalar sum/count (the scalar accumulator ⊕-merged across chunks), a
+   GROUP BY on the innermost key alone (a relaxed order whose sparse
+   accumulators merge across chunks), and a one-key scalar count (npos =
+   1: position 0 is the innermost position). *)
+let chain_shapes =
+  [
+    "select a.row, sum(a.v * b.v * c.v) s, count(*) n from a, b, c where a.col = b.row and b.col \
+     = c.row and c.v > -2 group by a.row";
+    "select sum(a.v * b.v * c.v) s, count(*) n from a, b, c where a.col = b.row and b.col = c.row \
+     and c.v > -2";
+    "select b.col, sum(a.v * b.v) s, count(*) n from a, b where a.col = b.row group by b.col";
+    "select count(*) n from a, b where a.col = b.row";
+  ]
 
 let qcheck_chain_differential =
   Helpers.qtest ~count:120 "random chain join: domains=1 vs domains=4" gen_chain
@@ -382,10 +394,23 @@ let qcheck_chain_differential =
       register_matrix e "a" ta;
       register_matrix e "b" tb;
       register_matrix e "c" tc;
-      let seq = rows_at e ~domains:1 chain_sql in
-      let par = rows_at e ~domains:4 chain_sql in
-      List.length seq = List.length par
-      && List.for_all2 (fun x y -> List.for_all2 Helpers.value_close x y) seq par)
+      List.for_all
+        (fun sql ->
+          let seq = rows_at e ~domains:1 sql in
+          let par = rows_at e ~domains:4 sql in
+          List.length seq = List.length par
+          && List.for_all2 (fun x y -> List.for_all2 Helpers.value_close x y) seq par)
+        chain_shapes)
+
+(* The innermost-key GROUP BY shape must plan the relaxed order the
+   differential above means to cover. *)
+let test_relaxed_shape_planned () =
+  let e = L.Engine.create () in
+  register_matrix e "a" [ (0, 1, 1.0) ];
+  register_matrix e "b" [ (1, 2, 1.0) ];
+  let text = (L.Engine.explain e (List.nth chain_shapes 2)).L.Engine.etext in
+  Alcotest.(check bool) "explain shows (relaxed)" true
+    (Lh_util.Text.contains ~sub:"(relaxed)" text)
 
 (* ---- histograms under concurrency ---- *)
 
@@ -493,6 +518,8 @@ let () =
             test_bench_queries_differential;
           Alcotest.test_case "oracle agreement at 4 domains" `Quick test_oracle_at_domains_4;
           qcheck_chain_differential;
+          Alcotest.test_case "innermost-key GROUP BY is relaxed" `Quick
+            test_relaxed_shape_planned;
         ] );
       ( "histograms",
         [

@@ -241,8 +241,7 @@ let test_stmt_revalidates () =
    the innermost position counts instead of streaming; a [$1] that keeps
    it makes the leaves carry multiplicity 2. One prepared plan serves
    every binding, so the disposition must follow the bound tries each
-   time. Two positions, so the parallel drivers (which split position 0)
-   still reach the innermost leaf at any domain count. *)
+   time. *)
 let test_leaf_mode_per_binding () =
   let e = L.Engine.create () in
   let reg name cols rows = ignore (L.Engine.register_rows e ~name ~schema:(Schema.create cols) rows) in
@@ -268,6 +267,38 @@ let test_leaf_mode_per_binding () =
   Alcotest.(check int) "duplicates kept: streamed" 0 (count_leaves 10.0);
   Alcotest.(check bool) "duplicates filtered: counted" true (count_leaves 2.0 > 0);
   Alcotest.(check int) "duplicates kept again: streamed" 0 (count_leaves 10.0)
+
+(* One join key: the count-only leaf sits at position 0, so the bag runs
+   as one unsplit unit and counts the intersection once at every domain
+   count. *)
+let test_count_only_at_position_0 () =
+  let e = L.Engine.create () in
+  let reg name keys =
+    ignore
+      (L.Engine.register_rows e ~name
+         ~schema:(Schema.create [ ("k", Dtype.Int, Schema.Key) ])
+         (List.map (fun k -> [ Dtype.VInt k ]) keys))
+  in
+  reg "a" (List.init 40 Fun.id);
+  reg "b" (List.init 30 (fun i -> 2 * i));
+  let sql = "select count(*) as c from a, b where a.k = b.k" in
+  let at domains =
+    let saved = L.Engine.config e in
+    L.Engine.set_config e { saved with L.Config.domains };
+    Fun.protect
+      ~finally:(fun () -> L.Engine.set_config e saved)
+      (fun () ->
+        let got, _, report = L.Engine.query_analyze e sql in
+        Helpers.check_rows_equal
+          (Printf.sprintf "domains=%d matches the oracle" domains)
+          (Helpers.oracle_rows e sql) (Table.to_rows got);
+        Alcotest.(check int)
+          (Printf.sprintf "domains=%d: one count-only leaf" domains)
+          1 (cval "set.count_only" report);
+        cval "wcoj.leaf_ticks" report)
+  in
+  let ticks1 = at 1 in
+  Alcotest.(check int) "domains=4: same leaf ticks" ticks1 (at 4)
 
 let test_query_into () =
   let e = matrix_engine () in
@@ -313,6 +344,7 @@ let () =
           Alcotest.test_case "parameter misuse is typed" `Quick test_param_errors;
           Alcotest.test_case "statements revalidate" `Quick test_stmt_revalidates;
           Alcotest.test_case "leaf mode follows the binding" `Quick test_leaf_mode_per_binding;
+          Alcotest.test_case "count-only leaf at position 0" `Quick test_count_only_at_position_0;
         ] );
       ( "plan-cache",
         [

@@ -306,17 +306,12 @@ let test_csv_malformed_line () =
     close_out oc;
     path
   in
-  let contains ~sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   let check name ~domains path expect =
     let eng = L.Engine.create ~config:{ L.Config.default with L.Config.domains } () in
     (match L.Engine.load_csv eng ~name:"bad" ~schema path with
     | _ -> Alcotest.failf "%s: malformed load succeeded" name
     | exception L.Engine.Error (L.Engine.Error.Semantic m) ->
-        if not (contains ~sub:expect m) then
+        if not (Lh_util.Text.contains ~sub:expect m) then
           Alcotest.failf "%s: error %S does not name %S" name m expect
     | exception e -> Alcotest.failf "%s: untyped exception %s" name (Printexc.to_string e));
     Alcotest.(check bool)
