@@ -19,23 +19,6 @@ module Schema = Lh_storage.Schema
 module Table = Lh_storage.Table
 open Cmdliner
 
-(* ---- schema syntax: "name dtype [key]" comma-separated ---- *)
-
-let parse_schema spec =
-  let col s =
-    match String.split_on_char ' ' (String.trim s) |> List.filter (fun x -> x <> "") with
-    | [ name; dtype ] -> (name, Lh_storage.Dtype.of_string dtype, Schema.Annotation)
-    | [ name; dtype; "key" ] -> (name, Lh_storage.Dtype.of_string dtype, Schema.Key)
-    | _ -> failwith (Printf.sprintf "bad column spec %S (want: name dtype [key])" s)
-  in
-  Schema.create (List.map col (String.split_on_char ',' spec))
-
-let parse_table_arg arg =
-  match String.split_on_char ':' arg with
-  | name :: path :: rest when rest <> [] ->
-      (name, path, parse_schema (String.concat ":" rest))
-  | _ -> failwith (Printf.sprintf "bad --table %S (want name:path:schema)" arg)
-
 (* ---- gen ---- *)
 
 let write_table dir sep (t : Table.t) =
@@ -91,26 +74,6 @@ let path_name = function
   | L.Engine.Scan_path -> "scan"
   | L.Engine.Wcoj_path -> "wcoj"
   | L.Engine.Blas_path -> "blas"
-
-(* --param values: narrowest type that parses wins (int, float, date),
-   falling back to string. Force a string with quotes: --param "'42'". *)
-let parse_param s =
-  let unquoted =
-    let n = String.length s in
-    if n >= 2 && s.[0] = '\'' && s.[n - 1] = '\'' then Some (String.sub s 1 (n - 2)) else None
-  in
-  match unquoted with
-  | Some str -> Lh_storage.Dtype.VString str
-  | None -> (
-      match int_of_string_opt s with
-      | Some i -> Lh_storage.Dtype.VInt i
-      | None -> (
-          match float_of_string_opt s with
-          | Some f -> Lh_storage.Dtype.VFloat f
-          | None -> (
-              match Lh_storage.Date.of_string s with
-              | d -> Lh_storage.Dtype.VDate d
-              | exception _ -> Lh_storage.Dtype.VString s)))
 
 let query_run tables tpch_dir sql explain_only analyze trace_file metrics_file sep domains params
     repeat prepare_flag profile_flag slow_log slow_ms =
@@ -174,7 +137,7 @@ let query_run tables tpch_dir sql explain_only analyze trace_file metrics_file s
         Lh_datagen.Tpch.schemas);
   List.iter
     (fun arg ->
-      let name, path, schema = parse_table_arg arg in
+      let name, path, schema = Cli_args.parse_table_arg arg in
       ignore (L.Engine.load_csv eng ~name ~schema ~sep path);
       Printf.printf "loaded %s as %s\n%!" path name)
     tables;
@@ -202,7 +165,7 @@ let query_run tables tpch_dir sql explain_only analyze trace_file metrics_file s
   | Some sql ->
       if explain_only then print_string (L.Engine.explain eng sql).L.Engine.etext
       else if use_prepared then begin
-        let values = List.map parse_param params in
+        let values = List.map Cli_args.parse_param params in
         let stmt, prep_dt = Lh_util.Timing.time (fun () -> L.Engine.prepare eng sql) in
         let n = L.Engine.Stmt.nparams stmt in
         Printf.eprintf "-- prepared in %s (%d parameter%s)\n%!"
@@ -237,7 +200,8 @@ let query_run tables tpch_dir sql explain_only analyze trace_file metrics_file s
         write_sinks report
       end
       else begin
-        let (result, ex), dt = Lh_util.Timing.time (fun () -> L.Engine.query_explain eng sql) in
+        let ex = L.Engine.explain eng sql in
+        let result, dt = Lh_util.Timing.time (fun () -> L.Engine.query eng sql) in
         print_result result;
         Printf.eprintf "-- %d rows in %s (%s path)\n" result.Table.nrows
           (Lh_util.Timing.duration_to_string dt)

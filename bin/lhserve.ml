@@ -86,22 +86,6 @@ let parse_row schema line =
     raise (Bad (Printf.sprintf "row has %d cells, schema has %d columns" (List.length cells) ncols));
   List.mapi (fun c cell -> parse_cell (Schema.col schema c).Schema.dtype cell) cells
 
-(* exec parameters: narrowest parse wins (int, float, date), else string;
-   quote ('x') to force string — same convention as lhcli --param. *)
-let parse_param s =
-  let n = String.length s in
-  if n >= 2 && s.[0] = '\'' && s.[n - 1] = '\'' then Dtype.VString (String.sub s 1 (n - 2))
-  else
-    match int_of_string_opt s with
-    | Some i -> Dtype.VInt i
-    | None -> (
-        match float_of_string_opt s with
-        | Some f -> Dtype.VFloat f
-        | None -> (
-            match Lh_storage.Date.of_string s with
-            | d -> Dtype.VDate d
-            | exception _ -> Dtype.VString s))
-
 (* first token and the untrimmed rest of the line *)
 let split_word line =
   let line = String.trim line in
@@ -186,7 +170,7 @@ let handle st line =
       in
       let values =
         if args = "" then []
-        else List.map parse_param (List.filter (( <> ) "") (String.split_on_char ' ' args))
+        else List.map Cli_args.parse_param (List.filter (( <> ) "") (String.split_on_char ' ' args))
       in
       match Serve.exec_prepared p values with
       | Ok (t, e) -> print_result t e
@@ -242,38 +226,13 @@ let handle st line =
 
 (* ---- startup ---- *)
 
-let parse_table_arg arg =
-  (* lhcli syntax: name:path:"col dtype [key], ..." *)
-  let colspec s =
-    match String.split_on_char ' ' (String.trim s) |> List.filter (fun x -> x <> "") with
-    | [ name; dtype ] -> (name, Dtype.of_string dtype, Schema.Annotation)
-    | [ name; dtype; "key" ] -> (name, Dtype.of_string dtype, Schema.Key)
-    | _ -> failwith (Printf.sprintf "bad column spec %S (want: name dtype [key])" s)
-  in
-  match String.split_on_char ':' arg with
-  | name :: path :: rest when rest <> [] ->
-      ( name,
-        path,
-        Schema.create (List.map colspec (String.split_on_char ',' (String.concat ":" rest))) )
-  | _ -> failwith (Printf.sprintf "bad --table %S (want name:path:schema)" arg)
-
 let serve tables sep domains max_sessions queue_depth data_dir wal_sync checkpoint_every =
-  let wal_sync =
-    match wal_sync with
-    | None -> None
-    | Some s -> (
-        match Lh_durable.Wal.sync_of_string s with
-        | Ok m -> Some m
-        | Error m -> failwith m)
+  let sync =
+    Option.map
+      (fun s -> match Lh_durable.Wal.sync_of_string s with Ok m -> m | Error m -> failwith m)
+      wal_sync
   in
-  let config =
-    {
-      L.Config.default with
-      L.Config.domains = max 1 domains;
-      wal_sync =
-        (match wal_sync with Some m -> m | None -> L.Config.default.L.Config.wal_sync);
-    }
-  in
+  let config = { L.Config.default with L.Config.domains = max 1 domains } in
   let eng = L.Engine.create ~config () in
   (* Durable boot: recover the store before any preloads — recovered
      state is the base, --table files then layer on top. Preloads go
@@ -285,9 +244,7 @@ let serve tables sep domains max_sessions queue_depth data_dir wal_sync checkpoi
     match data_dir with
     | None -> None
     | Some dir ->
-        let store, recovered =
-          Lh_durable.Store.open_dir ~sync:config.L.Config.wal_sync dir
-        in
+        let store, recovered = Lh_durable.Store.open_dir ?sync dir in
         Lh_durable.Store.replay_into recovered (fun ~name ~schema rows ->
             ignore (L.Engine.register_rows eng ~name ~schema rows));
         Printf.eprintf
@@ -300,7 +257,7 @@ let serve tables sep domains max_sessions queue_depth data_dir wal_sync checkpoi
   in
   List.iter
     (fun arg ->
-      let name, path, schema = parse_table_arg arg in
+      let name, path, schema = Cli_args.parse_table_arg arg in
       ignore (L.Engine.load_csv eng ~name ~schema ~sep path);
       Printf.eprintf "loaded %s as %s\n%!" path name)
     tables;

@@ -46,6 +46,24 @@ if [ "$lhserve_out" != "$lhserve_want" ]; then
   exit 1
 fi
 echo "lhserve pipe smoke ok"
+# Failed-ingest leg: the second publish probe fires, so "ingest u" fails.
+# The writer's catalog changes only after every fallible step, so the
+# next publish (of t) must not carry u along: u stays unknown, and the
+# epoch ids stay contiguous.
+fault_out=$(printf 'open\ningest t k:int:key,v:float\n0,1.5\n1,2.5\n.\ningest u k:int:key,v:float\n0,5\n1,10\n.\ningest t k:int:key,v:float\n0,10\n.\nquery 0 select sum(v) as s from u\nquit\n' \
+  | LH_FAULT=epoch.publish:nth=2 dune exec bin/lhserve.exe 2>/dev/null)
+fault_want='ok session 0
+ok epoch 1
+error engine: fault injected at site "epoch.publish"
+ok epoch 2
+error engine: unknown table "u"
+ok bye'
+if [ "$fault_out" != "$fault_want" ]; then
+  echo "ci FAIL: lhserve failed-ingest transcript mismatch" >&2
+  printf 'got:\n%s\n\nwant:\n%s\n' "$fault_out" "$fault_want" >&2
+  exit 1
+fi
+echo "lhserve failed-ingest smoke ok"
 # Durable lhserve smoke: two server runs over one --data-dir. Run 1
 # ingests three epochs (checkpoint after the second, so recovery takes
 # the checkpoint + a one-batch WAL suffix) and exits via the graceful

@@ -64,7 +64,8 @@ let () =
        [| Table.Icol src; Table.Icol dst; Table.Fcol w |]);
   Printf.printf "graph: %d vertices, %d undirected edges\n\n" nv ne;
 
-  let (t, ex), dt = Lh_util.Timing.time (fun () -> L.Engine.query_explain eng triangle_sql) in
+  let ex = L.Engine.explain eng triangle_sql in
+  let t, dt = Lh_util.Timing.time (fun () -> L.Engine.query eng triangle_sql) in
   let closed =
     match Table.value t ~row:0 ~col:0 with Dtype.VInt n -> n | _ -> assert false
   in

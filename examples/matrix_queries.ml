@@ -27,7 +27,8 @@ let () =
 
   (* --- sparse matrix-vector: a pure aggregate-join --- *)
   let smv = "select a.row, sum(a.v * x.v) as y from a, x where a.col = x.idx group by a.row" in
-  let (y, ex), dt = Lh_util.Timing.time (fun () -> L.Engine.query_explain eng smv) in
+  let ex = L.Engine.explain eng smv in
+  let y, dt = Lh_util.Timing.time (fun () -> L.Engine.query eng smv) in
   Printf.printf "SMV  path=%s rows=%d time=%s\n"
     (match ex.L.Engine.epath with
     | L.Engine.Wcoj_path -> "wcoj"
@@ -41,7 +42,8 @@ let () =
     "select a1.row, a2.col, sum(a1.v * a2.v) as v from a a1, a a2 where a1.col = a2.row group \
      by a1.row, a2.col"
   in
-  let (sq, ex), dt = Lh_util.Timing.time (fun () -> L.Engine.query_explain eng smm) in
+  let ex = L.Engine.explain eng smm in
+  let sq, dt = Lh_util.Timing.time (fun () -> L.Engine.query eng smm) in
   Printf.printf "SMM  path=%s rows=%d time=%s\n"
     (match ex.L.Engine.epath with L.Engine.Wcoj_path -> "wcoj" | _ -> "?")
     sq.Table.nrows
@@ -63,7 +65,8 @@ let () =
     "select d1.row, d2.col, sum(d1.v * d2.v) as v from d d1, d d2 where d1.col = d2.row group \
      by d1.row, d2.col"
   in
-  let (dsq, ex), dt = Lh_util.Timing.time (fun () -> L.Engine.query_explain eng dmm) in
+  let ex = L.Engine.explain eng dmm in
+  let dsq, dt = Lh_util.Timing.time (fun () -> L.Engine.query eng dmm) in
   Printf.printf "DMM  path=%s rows=%d time=%s\n"
     (match ex.L.Engine.epath with L.Engine.Blas_path -> "blas" | _ -> "wcoj")
     dsq.Table.nrows

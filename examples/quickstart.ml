@@ -67,7 +67,8 @@ let () =
     "select city, sum(amount) as revenue, count(*) as sales from sales, stores where \
      sales.store_id = stores.store_id and sale_date >= date '2024-01-01' group by city"
   in
-  let result, explain = L.Engine.query_explain eng sql in
+  let explain = L.Engine.explain eng sql in
+  let result = L.Engine.query eng sql in
   print_endline "-- result --";
   print_table result;
   print_endline "\n-- plan --";

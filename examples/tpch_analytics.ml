@@ -36,7 +36,8 @@ let () =
 
   let run name sql =
     Printf.printf "\n=== %s ===\n" name;
-    let (result, explain), dt = Lh_util.Timing.time (fun () -> L.Engine.query_explain eng sql) in
+    let explain = L.Engine.explain eng sql in
+    let result, dt = Lh_util.Timing.time (fun () -> L.Engine.query eng sql) in
     print_string explain.L.Engine.etext;
     Printf.printf "rows: %d   time: %s\n" result.Table.nrows (Lh_util.Timing.duration_to_string dt);
     for r = 0 to min 9 (result.Table.nrows - 1) do

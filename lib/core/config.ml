@@ -11,7 +11,6 @@ type t = {
   budget : Lh_util.Budget.t;
   plan_cache_capacity : int;
   slow_log_ms : float;
-  wal_sync : Lh_durable.Wal.sync;
 }
 
 let default_plan_cache_capacity () =
@@ -42,7 +41,6 @@ let default =
     budget = Lh_util.Budget.unlimited;
     plan_cache_capacity = default_plan_cache_capacity ();
     slow_log_ms = default_slow_log_ms ();
-    wal_sync = Lh_durable.Wal.default_sync ();
   }
 
 let logicblox_like =

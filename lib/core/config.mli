@@ -42,12 +42,6 @@ type t = {
           logs none. Overridable via the [LH_SLOW_MS] environment
           variable. Not a plan-shaping knob (changing it keeps cached
           plans). *)
-  wal_sync : Lh_durable.Wal.sync;
-      (** WAL group-commit fsync discipline for durable ingest (see
-          [Lh_durable.Wal]): [Always] fsyncs per append, [Group n] every
-          [n] appends, [Never] leaves it to the OS. Default from the
-          [LH_WAL_SYNC] environment variable ([always] | [group[:N]] |
-          [none]); [group:8] when unset. Not a plan-shaping knob. *)
 }
 
 val default : t

@@ -186,8 +186,7 @@ type stmt = { s_eng : t; s_sql : string; s_plan : plan }
 (* What one call into the request path runs: a one-shot query (planned
    through the cache) or a prepared statement with its parameter values
    (already planned). *)
-type source = Sql of string | Ast of Ast.query
-type request = Query of source | Exec of stmt * Dtype.value list
+type request = Query of string | Exec of stmt * Dtype.value list
 
 type path = Scan_path | Wcoj_path | Blas_path
 
@@ -342,10 +341,7 @@ let profile_start t req =
   if not (Obs.is_enabled ()) then no_profile
   else begin
     let sql =
-      match req with
-      | Query (Sql sql) -> sql
-      | Query (Ast ast) -> Format.asprintf "%a" Ast.pp_query ast
-      | Exec (s, _) -> s.s_sql
+      match req with Query sql -> sql | Exec (s, _) -> s.s_sql
     in
     let acc =
       {
@@ -560,10 +556,8 @@ let execute_explained t ~name lq decided =
 (* ------------------------------------------------------------------ *)
 (* Planning                                                             *)
 
-let parse = function
-  | Sql sql ->
-      Obs.span "parse" ~record:(Hist.observe_always h_parse) (fun () -> Lh_sql.Parser.parse sql)
-  | Ast ast -> ast
+let parse sql =
+  Obs.span "parse" ~record:(Hist.observe_always h_parse) (fun () -> Lh_sql.Parser.parse sql)
 
 (* GHD and attribute order are computed on the unbound (parameterized)
    plan: [Logical.bind_params] cannot change the hypergraph shape, so both
@@ -717,7 +711,7 @@ let run t req k =
       Obs.span "query" (fun () ->
           let plan, params =
             match req with
-            | Query src -> plan_query t (parse src)
+            | Query sql -> plan_query t (parse sql)
             | Exec (s, params) ->
                 note_cache t "prepared";
                 (s.s_plan, params)
@@ -725,42 +719,36 @@ let run t req k =
           let lq, decided = bind t plan params in
           k lq decided))
 
-let query_caught t sql = run t (Query (Sql sql)) (execute t ~name:"result")
+let query_caught t sql = run t (Query sql) (execute t ~name:"result")
 let query_result t sql = to_result (query_caught t sql)
 let query t sql = unwrap (query_caught t sql)
-let query_ast t ast = unwrap (run t (Query (Ast ast)) (execute t ~name:"result"))
 
 let semirings () = Semiring.names ()
 
 let query_into t ~name sql =
-  let result = unwrap (run t (Query (Sql sql)) (execute t ~name)) in
+  let result = unwrap (run t (Query sql) (execute t ~name)) in
   register t result;
   result
-
-let query_explain t sql = unwrap (run t (Query (Sql sql)) (execute_explained t ~name:"result"))
 
 let query_analyze t sql =
   let r, report =
     Lh_obs.Report.with_session (fun () ->
-        run t (Query (Sql sql)) (execute_explained t ~name:"result"))
+        run t (Query sql) (execute_explained t ~name:"result"))
   in
   let result, ex = unwrap r in
   (result, ex, report)
 
-let explain t sql = unwrap (run t (Query (Sql sql)) explained)
+let explain t sql = unwrap (run t (Query sql) explained)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared statements                                                  *)
 
-let prepare_caught t src =
+let prepare_caught t sql =
   caught ~finish:no_profile (fun () ->
-      Obs.span "prepare" (fun () ->
-          let s_sql = match src with Sql sql -> sql | Ast _ -> "" in
-          { s_eng = t; s_sql; s_plan = make_plan t (parse src) }))
+      Obs.span "prepare" (fun () -> { s_eng = t; s_sql = sql; s_plan = make_plan t (parse sql) }))
 
-let prepare t sql = unwrap (prepare_caught t (Sql sql))
-let prepare_result t sql = to_result (prepare_caught t (Sql sql))
-let prepare_ast t ast = unwrap (prepare_caught t (Ast ast))
+let prepare t sql = unwrap (prepare_caught t sql)
+let prepare_result t sql = to_result (prepare_caught t sql)
 
 module Stmt = struct
   let sql s = s.s_sql

@@ -158,10 +158,6 @@ val query_into : t -> name:string -> string -> Lh_storage.Table.t
     the catalog so later queries can read it. Registration invalidates
     cached plans and tries (the catalog changed). *)
 
-val query_ast : t -> Lh_sql.Ast.query -> Lh_storage.Table.t
-
-val query_explain : t -> string -> Lh_storage.Table.t * explain
-
 val query_analyze : t -> string -> Lh_storage.Table.t * explain * Lh_obs.Report.t
 (** [EXPLAIN ANALYZE]: runs the query with telemetry enabled for exactly
     that run (the previous enabled state is restored afterwards) and
@@ -171,9 +167,9 @@ val query_analyze : t -> string -> Lh_storage.Table.t * explain * Lh_obs.Report.
     {!Lh_obs.Report.metrics_json} or {!Lh_obs.Report.chrome_trace}. *)
 
 val explain : t -> string -> explain
-(** {!query_explain} without the execution: the same parse, plan-cache
-    lookup and bind, so the reported path (BLAS/WCOJ/scan) is the one a
-    query would take. *)
+(** The plan {!query} would run, without the execution: the same parse,
+    plan-cache lookup and bind, so the reported path (BLAS/WCOJ/scan) is
+    the one a query would take. *)
 
 (** {2 Prepared statements} *)
 
@@ -195,11 +191,9 @@ val prepare_result : t -> string -> (stmt, Error.t) result
 (** Non-raising variant of {!prepare}: the canonical form for callers on
     the result-typed API. *)
 
-val prepare_ast : t -> Lh_sql.Ast.query -> stmt
-
 module Stmt : sig
   val sql : stmt -> string
-  (** The source text (empty for {!prepare_ast}). *)
+  (** The source text. *)
 
   val nparams : stmt -> int
 

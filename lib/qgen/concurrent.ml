@@ -38,7 +38,6 @@ type obs = {
   o_index : int;
   o_kind : string;
   o_sql : string;
-  o_ast : Ast.query;
   o_values : Dtype.value list;
   o_epoch : int;
   o_rows : Rows.row list;
@@ -81,7 +80,6 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
     Serve.create ~config:view_cfg ~max_sessions:(max 8 (domains + 1)) eng
   in
   let spec = Gen.default_spec in
-  let persist_ast = Lh_sql.Parser.parse persist_sql in
   (* epoch id -> writer generation (how many ingests preceded it) *)
   let gen_of = Hashtbl.create 8 in
   Hashtbl.replace gen_of (Serve.current_epoch svc) 0;
@@ -98,12 +96,12 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
   let reader d =
     let s = Serve.open_session svc in
     let obs = ref [] and fails = ref [] in
-    let record ~index ~kind ~sql ~ast ~values = function
+    let record ~index ~kind ~sql ~values = function
       | Ok (t, e) ->
           Obs.incr c_queries;
           obs :=
             { o_domain = d; o_index = index; o_kind = kind; o_sql = sql;
-              o_ast = ast; o_values = values; o_epoch = e;
+              o_values = values; o_epoch = e;
               o_rows = Table.to_rows t }
             :: !obs
       | Error err ->
@@ -136,7 +134,7 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
          let ast, _shape = Gen.generate profile ~seed ~index spec in
          let sql = sql_of_ast ast in
          if i land 1 = 0 then
-           record ~index ~kind:"adhoc" ~sql ~ast ~values:[]
+           record ~index ~kind:"adhoc" ~sql ~values:[]
              (Serve.query_epoch s sql)
          else begin
            let lifted, values = Lh_sql.Normalize.lift_literals ast in
@@ -146,14 +144,14 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
                fail fails ~domain:d ~index ~kind:"prepared" ~sql:psql ~epoch:(-1)
                  (Serve.error_to_string err)
            | Ok p ->
-               record ~index ~kind:"prepared" ~sql:psql ~ast:lifted ~values
+               record ~index ~kind:"prepared" ~sql:psql ~values
                  (Serve.exec_prepared p values)
          end;
          (* The long-lived statement rides across epochs: its cached plan
             must revalidate against whatever epoch each execution pins. *)
          match persist with
          | Some p when i mod 3 = 2 ->
-             record ~index ~kind:"persist" ~sql:persist_sql ~ast:persist_ast
+             record ~index ~kind:"persist" ~sql:persist_sql
                ~values:[] (Serve.exec_prepared p [])
          | _ -> ()
        with e ->
@@ -214,9 +212,9 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
       in
       match
         let oe = oracle_for o.o_epoch in
-        if o.o_values = [] then Table.to_rows (L.Engine.query_ast oe o.o_ast)
+        if o.o_values = [] then Table.to_rows (L.Engine.query oe o.o_sql)
         else
-          let stmt = L.Engine.prepare_ast oe o.o_ast in
+          let stmt = L.Engine.prepare oe o.o_sql in
           Table.to_rows (L.Engine.Stmt.exec stmt o.o_values)
       with
       | exception e -> fail_replay ("replay raised " ^ Printexc.to_string e)

@@ -397,12 +397,17 @@ let check_q name sess g =
   | Error e -> Error (Printf.sprintf "%s: %s" name (Serve.error_to_string e))
 
 (* A failed ingest publishes nothing: the survivor still reads the old
-   epoch, and retrying the ingest publishes cleanly (install-on-success
-   at the service level). *)
+   epoch, the next publish of another table does not carry the failed
+   batch along, and retrying the ingest publishes cleanly. *)
 let check_rollback f =
   if Serve.current_epoch f.svc <> f.e0 then Error "epoch advanced despite the failed ingest"
   else
     check_q "survivor on the old epoch" f.survivor 0 >>= fun () ->
+    (match Serve.ingest_rows f.svc ~name:"u" ~schema:t_schema (t_rows 1) with
+    | Ok _ -> Ok ()
+    | Error e -> Error ("unrelated ingest failed: " ^ Serve.error_to_string e))
+    >>= fun () ->
+    check_q "survivor after an unrelated publish" f.survivor 0 >>= fun () ->
     ingest_ok "re-ingest" f 1 >>= fun () -> check_q "post-recovery" f.survivor 1
 
 (* Re-open the store directory and demand a freshly recovered engine

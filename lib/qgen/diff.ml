@@ -53,7 +53,8 @@ let evaluators ~inject_bug eng =
       ev_name = name;
       ev_run =
         (fun ast ->
-          with_config cfg (fun () -> Lh_storage.Table.to_rows (L.Engine.query_ast eng ast)));
+          with_config cfg (fun () ->
+              Lh_storage.Table.to_rows (L.Engine.query eng (sql_of_ast ast))));
     }
   in
   let pairwise name mode =
@@ -69,7 +70,7 @@ let evaluators ~inject_bug eng =
       ev_run =
         (fun ast ->
           let lifted, values = Lh_sql.Normalize.lift_literals ast in
-          let stmt = L.Engine.prepare_ast eng lifted in
+          let stmt = L.Engine.prepare eng (sql_of_ast lifted) in
           Lh_storage.Table.to_rows (L.Engine.Stmt.exec stmt values));
     }
   in

@@ -16,6 +16,7 @@ module Fault = Lh_fault.Fault
 module Pool = Lh_util.Pool
 module Timing = Lh_util.Timing
 module Store = Lh_durable.Store
+module Table = Lh_storage.Table
 
 let c_sessions = Obs.counter "serve.sessions"
 let c_queries = Obs.counter "serve.queries"
@@ -27,8 +28,9 @@ let c_retired = Obs.counter "epoch.retired"
 let h_wait = Hist.histogram "serve.queue_wait"
 
 (* Crash-only surface (see the mli's fault-site notes): admit fires
-   before admission mutates anything, publish after the writer committed
-   but before the swap, retire before an epoch is reclaimed. *)
+   before admission mutates anything, publish after the ingest's last
+   durable step but before the writer's catalog changes, retire before an
+   epoch is reclaimed. *)
 let fault_admit = Fault.site "serve.admit"
 let fault_publish = Fault.site "epoch.publish"
 let fault_retire = Fault.site "epoch.retire"
@@ -66,7 +68,7 @@ type epoch = {
 }
 
 type t = {
-  mutable writer : Engine.t;  (* mutated only on durable-ingest rollback *)
+  writer : Engine.t;  (* ingest only: the catalog changes after every fallible step *)
   w_lock : Mutex.t;
   lock : Mutex.t;
   mutable current : epoch;
@@ -179,8 +181,6 @@ let admit s =
       s.s_outstanding <- s.s_outstanding + 1;
       Obs.incr c_admitted)
 
-let try_admit s = match admit s with () -> Ok () | exception exn -> Result.Error (error_of_exn exn)
-
 let release s =
   let t = s.s_svc in
   locked t.lock (fun () ->
@@ -231,30 +231,35 @@ let unpin_after t e result =
   | () -> result
   | exception exn -> Result.Error (error_of_exn exn)
 
-(* Core of every read: pin, run on the epoch's view, unpin. Called with
-   [s_lock] held; never raises. *)
-let query_epoch_locked s sql =
-  let t = s.s_svc in
+(* The one step of every read: pin the epoch, run [f] on its id and the
+   session's view of it, classify, unpin. Called with [s_lock] held;
+   never raises. *)
+let on_epoch s f =
   let e = pin_for_query s in
   let result =
-    match
-      let v = view_for s e in
-      Engine.query_result v sql
-    with
-    | Ok table -> Ok (table, e.e_id)
+    match f e.e_id (view_for s e) with
+    | Ok x -> Ok (x, e.e_id)
     | Result.Error err -> Result.Error (Engine_error err)
     | exception exn -> Result.Error (error_of_exn exn)
   in
-  unpin_after t e result
+  unpin_after s.s_svc e result
 
-let query_epoch s sql =
-  match try_admit s with
-  | Result.Error _ as e -> e
-  | Ok () ->
-      Fun.protect
-        ~finally:(fun () -> release s)
-        (fun () -> locked s.s_lock (fun () -> query_epoch_locked s sql))
+(* The one admission wrapper: the decision is taken now; the returned
+   job runs [f] under the session lock and frees the admission slot. The
+   job never raises, so it can run on the caller or on a pool worker. *)
+let admitted s f =
+  match admit s with
+  | exception exn -> Result.Error (error_of_exn exn)
+  | () ->
+      Ok
+        (fun () ->
+          Fun.protect
+            ~finally:(fun () -> release s)
+            (fun () -> try locked s.s_lock f with exn -> Result.Error (error_of_exn exn)))
 
+let admitted_now s f = Result.bind (admitted s f) (fun job -> job ())
+let read s sql () = on_epoch s (fun _ v -> Engine.query_result v sql)
+let query_epoch s sql = admitted_now s (read s sql)
 let query s sql = Result.map fst (query_epoch s sql)
 
 (* ------------------------------------------------------------------ *)
@@ -280,18 +285,13 @@ let poll tk = locked tk.tk_lock (fun () -> tk.tk_val)
 
 let submit s sql =
   let tk = ticket () in
-  (match try_admit s with
-  | Result.Error _ as e -> fill tk e
-  | Ok () ->
+  (match admitted s (read s sql) with
+  | Result.Error _ as rejected -> fill tk rejected
+  | Ok job ->
       let t0 = Timing.monotonic_now () in
       Pool.submit (Pool.global ()) ~group:s.s_id (fun () ->
           Hist.observe h_wait (Timing.monotonic_now () -. t0);
-          let r =
-            try locked s.s_lock (fun () -> query_epoch_locked s sql)
-            with exn -> Result.Error (error_of_exn exn)
-          in
-          (try release s with _ -> ());
-          fill tk r));
+          fill tk (job ())));
   tk
 
 (* ------------------------------------------------------------------ *)
@@ -303,55 +303,33 @@ type prepared = {
   mutable pr_cache : (int * Engine.stmt) option;  (* epoch id it was planned under *)
 }
 
-(* Plan (or re-plan) [p] against epoch [e]'s view. A statement planned
-   under an older epoch is silently re-prepared — the service-level
-   analogue of Engine's epoch-based statement revalidation. Called with
-   [s_lock] held. *)
-let stmt_for p e =
+(* Plan (or re-plan) [p] against epoch [id]'s view [v]. A statement
+   planned under an older epoch is silently re-prepared — the
+   service-level analogue of Engine's epoch-based statement
+   revalidation. Called with [s_lock] held. *)
+let stmt_for p id v =
   match p.pr_cache with
-  | Some (id, st) when id = e.e_id -> Ok st
+  | Some (cached, st) when cached = id -> Ok st
   | _ ->
       Result.map
         (fun st ->
-          p.pr_cache <- Some (e.e_id, st);
+          p.pr_cache <- Some (id, st);
           st)
-        (Engine.prepare_result (view_for p.pr_s e) p.pr_sql)
+        (Engine.prepare_result v p.pr_sql)
 
 let prepare s sql =
   locked s.s_lock (fun () ->
       let t = s.s_svc in
-      if locked t.lock (fun () -> t.closed || s.s_closed) then
-        Result.Error (Closed "session")
-      else begin
-        let e = pin_for_query s in
+      if locked t.lock (fun () -> t.closed || s.s_closed) then Result.Error (Closed "session")
+      else
         let p = { pr_s = s; pr_sql = sql; pr_cache = None } in
-        let result =
-          match stmt_for p e with
-          | Ok _ -> Ok p
-          | Result.Error err -> Result.Error (Engine_error err)
-          | exception exn -> Result.Error (error_of_exn exn)
-        in
-        unpin_after t e result
-      end)
+        Result.map (fun _ -> p) (on_epoch s (fun id v -> stmt_for p id v)))
 
 let exec_prepared p params =
   let s = p.pr_s in
-  match try_admit s with
-  | Result.Error _ as e -> e
-  | Ok () ->
-      Fun.protect
-        ~finally:(fun () -> release s)
-        (fun () ->
-          locked s.s_lock (fun () ->
-              let t = s.s_svc in
-              let e = pin_for_query s in
-              let result =
-                match Result.bind (stmt_for p e) (fun st -> Engine.Stmt.exec_result st params) with
-                | Ok table -> Ok (table, e.e_id)
-                | Result.Error err -> Result.Error (Engine_error err)
-                | exception exn -> Result.Error (error_of_exn exn)
-              in
-              unpin_after t e result))
+  admitted_now s (fun () ->
+      on_epoch s (fun id v ->
+          Result.bind (stmt_for p id v) (fun st -> Engine.Stmt.exec_result st params)))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -381,44 +359,44 @@ let open_session t =
 
 let session_id s = s.s_id
 
+(* Epoch steps outside the read path run [reclaim_locked] too, so an
+   armed [epoch.retire] (or its timeout/OOM kind) can fire there. [pin]
+   and [unpin] hand it to their caller typed; the close paths ignore it
+   and leave the epoch to the next sweep. *)
+let on_fault ~recover f =
+  try f () with
+  | (Fault.Injected _ | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget) as exn ->
+      recover exn
+
+let typed exn = raise (Error (error_of_exn exn))
+let ignored (_ : exn) = ()
+
 let pin s =
   let t = s.s_svc in
-  match
-    locked t.lock (fun () ->
-        if t.closed || s.s_closed then raise (Error (Closed "session"));
-        let old = s.s_pin in
-        let e = t.current in
-        e.e_pins <- e.e_pins + 1;
-        s.s_pin <- Some e;
-        (match old with
-        | Some oe ->
-            oe.e_pins <- oe.e_pins - 1;
-            reclaim_locked t oe
-        | None -> ());
-        e.e_id)
-  with
-  | id -> id
-  | exception
-      ((Fault.Injected _ | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget) as
-       exn) ->
-      raise (Error (error_of_exn exn))
+  on_fault ~recover:typed (fun () ->
+      locked t.lock (fun () ->
+          if t.closed || s.s_closed then raise (Error (Closed "session"));
+          let old = s.s_pin in
+          let e = t.current in
+          e.e_pins <- e.e_pins + 1;
+          s.s_pin <- Some e;
+          (match old with
+          | Some oe ->
+              oe.e_pins <- oe.e_pins - 1;
+              reclaim_locked t oe
+          | None -> ());
+          e.e_id))
 
 let unpin s =
   let t = s.s_svc in
-  match
-    locked t.lock (fun () ->
-        match s.s_pin with
-        | None -> ()
-        | Some e ->
-            s.s_pin <- None;
-            e.e_pins <- e.e_pins - 1;
-            reclaim_locked t e)
-  with
-  | () -> ()
-  | exception
-      ((Fault.Injected _ | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget) as
-       exn) ->
-      raise (Error (error_of_exn exn))
+  on_fault ~recover:typed (fun () ->
+      locked t.lock (fun () ->
+          match s.s_pin with
+          | None -> ()
+          | Some e ->
+              s.s_pin <- None;
+              e.e_pins <- e.e_pins - 1;
+              reclaim_locked t e))
 
 let pinned_epoch s =
   locked s.s_svc.lock (fun () -> Option.map (fun e -> e.e_id) s.s_pin)
@@ -434,12 +412,7 @@ let close_session s =
             | Some e ->
                 s.s_pin <- None;
                 e.e_pins <- e.e_pins - 1;
-                (* Cleanup path: a retire fault here leaves the epoch to
-                   the next sweep rather than failing the close. *)
-                (try reclaim_locked t e with
-                | Fault.Injected _ | Lh_util.Budget.Timed_out
-                | Lh_util.Budget.Out_of_memory_budget ->
-                  ())
+                on_fault ~recover:ignored (fun () -> reclaim_locked t e)
             | None -> ()
           end);
       s.s_views <- [])
@@ -450,9 +423,7 @@ let close t =
         t.sessions)
   in
   List.iter close_session sessions;
-  locked t.lock (fun () ->
-      try sweep_locked t with
-      | Fault.Injected _ | Lh_util.Budget.Timed_out | Lh_util.Budget.Out_of_memory_budget -> ());
+  locked t.lock (fun () -> on_fault ~recover:ignored (fun () -> sweep_locked t));
   (* Release the WAL last: every acknowledged batch is already at its
      sync point, this only forces the group-commit remainder down. *)
   match t.store with Some st -> (try Store.close st with Unix.Unix_error _ -> ()) | None -> ()
@@ -481,79 +452,73 @@ let shutdown ?(deadline = 5.0) t =
 (* ------------------------------------------------------------------ *)
 (* Ingest                                                              *)
 
-(* Durable half of an ingest: append the committed table to the WAL
-   (the record has reached the OS — the sync point — when [log_batch]
-   returns) and take a periodic checkpoint of the whole catalog. Runs
-   between writer commit and publish, so the acknowledgement the caller
-   sees is ordered log → publish → ack. *)
-let log_durable t (tbl : Lh_storage.Table.t) =
+(* Durable half of an ingest: append the built table to the WAL (the
+   record has reached the OS — the sync point — when [log_batch]
+   returns) and take a periodic checkpoint of the whole catalog with the
+   new table in place of the old one. Runs before the writer's catalog
+   changes, so the acknowledgement the caller sees is ordered
+   log → publish → ack. *)
+let log_durable t (tbl : Table.t) =
   match t.store with
   | None -> ()
   | Some st ->
-      ignore
-        (Store.log_batch st ~name:tbl.Lh_storage.Table.name
-           ~schema:tbl.Lh_storage.Table.schema (Lh_storage.Table.to_rows tbl));
+      let name = tbl.Table.name in
+      let rows = Table.to_rows tbl in
+      ignore (Store.log_batch st ~name ~schema:tbl.Table.schema rows);
       t.since_checkpoint <- t.since_checkpoint + 1;
       if t.checkpoint_every > 0 && t.since_checkpoint >= t.checkpoint_every then begin
-        Store.checkpoint st (Engine.dump t.writer);
+        let others = List.filter (fun (n, _, _) -> n <> name) (Engine.dump t.writer) in
+        Store.checkpoint st
+          (List.sort
+             (fun (a, _, _) (b, _, _) -> String.compare a b)
+             ((name, tbl.Table.schema, rows) :: others));
         t.since_checkpoint <- 0
       end
 
-let ingest_with t ingest =
+(* Every fallible step of an ingest runs before the writer's catalog
+   changes: build the table against the writer's dictionary without
+   registering it, log it, take a due checkpoint, probe the publish
+   site. A failure at any of them is a typed error with nothing to undo —
+   readers keep the old epoch, the writer never saw the table (its
+   append-only dictionary may keep strings the build interned, which no
+   table refers to), and retrying publishes. Only then is the table registered and one
+   snapshot published. A retry reuses the failed attempt's WAL sequence
+   number — safe because Wal.append truncates a frame whose sync point
+   failed before the error escapes, and replay dedup is
+   last-occurrence-wins as a backstop. *)
+let ingest_with t build =
   locked t.w_lock (fun () ->
       if locked t.lock (fun () -> t.closed) then Result.Error (Closed "service")
       else begin
         Obs.incr c_ingests;
-        (* With a durable store attached, a failure after the writer
-           committed but before the ack must leave no trace in memory:
-           the recovered state may legitimately contain the unacked
-           batch (it is complete on disk once logged), but the live
-           writer rolls back to the published snapshot so a later
-           checkpoint cannot leak never-logged state. *)
-        let pre = match t.store with None -> None | Some _ -> Some (Engine.snapshot t.writer) in
-        let rollback () =
-          match pre with
-          | Some snap -> t.writer <- Engine.of_snapshot ~config:(Engine.config t.writer) snap
-          | None -> ()
-        in
-        match ingest () with
+        match
+          let tbl = build (Engine.dict t.writer) in
+          log_durable t tbl;
+          Fault.hit fault_publish;
+          tbl
+        with
         | exception exn -> Result.Error (error_of_exn exn)
-        | (tbl : Lh_storage.Table.t) -> (
-            (* The writer has committed. A fault in the durable log, the
-               checkpoint or the publish probe means the new state was
-               never acknowledged: the caller gets a typed error, readers
-               keep the old epoch, and retrying the ingest (idempotent
-               re-register) publishes it. The retry reuses the failed
-               attempt's WAL sequence number — safe because Wal.append
-               truncates a frame whose sync point failed before the
-               error escapes, and replay dedup is last-occurrence-wins
-               as a backstop. *)
-            match
-              log_durable t tbl;
-              Fault.hit fault_publish
-            with
-            | exception exn ->
-                rollback ();
-                Result.Error (error_of_exn exn)
-            | () -> (
-                let e = epoch_of_snapshot (Engine.snapshot t.writer) in
-                locked t.lock (fun () ->
-                    t.current.e_retired <- true;
-                    t.current <- e;
-                    t.live <- e :: t.live;
-                    Obs.incr c_published);
-                (* Sweep after the swap so a retire fault cannot
-                   unpublish the new epoch. *)
-                match locked t.lock (fun () -> sweep_locked t) with
-                | () -> Ok e.e_id
-                | exception exn -> Result.Error (error_of_exn exn)))
+        | tbl -> (
+            Engine.register t.writer tbl;
+            let e = epoch_of_snapshot (Engine.snapshot t.writer) in
+            locked t.lock (fun () ->
+                t.current.e_retired <- true;
+                t.current <- e;
+                t.live <- e :: t.live;
+                Obs.incr c_published);
+            (* Sweep after the swap so a retire fault cannot
+               unpublish the new epoch. *)
+            match locked t.lock (fun () -> sweep_locked t) with
+            | () -> Ok e.e_id
+            | exception exn -> Result.Error (error_of_exn exn))
       end)
 
 let ingest_rows t ~name ~schema rows =
-  ingest_with t (fun () -> Engine.register_rows t.writer ~name ~schema rows)
+  ingest_with t (fun dict -> Table.of_rows ~name ~schema ~dict rows)
 
 let load_csv t ~name ~schema ?sep path =
-  ingest_with t (fun () -> Engine.load_csv t.writer ~name ~schema ?sep path)
+  let domains = max 1 (Engine.config t.writer).Config.domains in
+  ingest_with t (fun dict -> Table.load_csv ~name ~schema ~dict ~domains ?sep path)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -5,13 +5,16 @@
     immutable {!Levelheaded.Engine.snapshot} tagged with the writer's
     generation counter. Sessions query view engines over these snapshots:
 
-    - a query {e pins} the epoch it starts under; ingest that commits
-      mid-query publishes a {e new} epoch without disturbing the pinned
-      one, so the query observes exactly one catalog state end to end;
-    - {!ingest_rows} / {!load_csv} build the next state install-on-success
-      on the writer, freeze it, and swap it in atomically — a failed
-      ingest (typed error, injected fault) leaves the served epoch
-      untouched;
+    - every read (query, prepare, prepared exec, submitted query) runs
+      through one step: {e pin} the epoch it starts under, run on the
+      session's view of it, classify the outcome, unpin. Ingest that
+      commits mid-query publishes a {e new} epoch without disturbing the
+      pinned one, so the query observes exactly one catalog state end to
+      end;
+    - {!ingest_rows} / {!load_csv} run every fallible step before the
+      writer's catalog changes, then register the table and publish one
+      snapshot. A failed ingest (typed error, injected fault) has nothing
+      to roll back: the served epoch and the writer are untouched;
     - a superseded epoch is {e retired} and reclaimed once its pin count
       drops to zero; pinned epochs are never reclaimed.
 
@@ -33,7 +36,9 @@
 module Engine := Levelheaded.Engine
 
 type t
-(** A service: one writer engine, the live epochs, the session table. *)
+(** A service: one writer engine, the live epochs, the session table.
+    The service keeps no rollback state: the writer's catalog only ever
+    changes by a successful ingest. *)
 
 type session
 (** A client session. A session runs one query at a time; concurrency
@@ -73,9 +78,9 @@ val create :
     every query crossing [Config.slow_log_ms], any session.
 
     [store] attaches a durable store (see {!Lh_durable.Store}): every
-    ingest is then logged to the WAL {e before} it is published, and the
-    caller's acknowledgement implies the batch reached the configured
-    sync point — restart recovery ({!Lh_durable.Store.open_dir}, then
+    ingest is then logged to the WAL {e before} the writer registers it
+    and it is published, and the caller's acknowledgement implies the
+    batch reached the configured sync point — restart recovery ({!Lh_durable.Store.open_dir}, then
     {!Lh_durable.Store.replay_into} with {!Engine.register_rows}, before
     [create]) lands on the last acknowledged state. [checkpoint_every] (default [LH_CHECKPOINT_EVERY], 0 = never)
     snapshots the whole catalog and resets the WAL every that many
@@ -176,11 +181,19 @@ val ingest_rows :
   schema:Lh_storage.Schema.t ->
   Lh_storage.Dtype.value list list ->
   (int, error) result
-(** Serialized with other writers. Builds the table install-on-success
-    on the writer, freezes a new snapshot, publishes it as the new
-    current epoch and retires the superseded one (reclaimed when its pin
-    count reaches zero). Returns the new epoch id. On error nothing is
-    published and the served epoch is unchanged. *)
+(** Serialized with other writers. The steps run in this order:
+    + build the table against the writer's dictionary, unregistered;
+    + with a store, append it to the WAL, and take a checkpoint when one
+      is due (the catalog with the new table in place of the old);
+    + probe the [epoch.publish] fault site;
+    + register the table on the writer, freeze one snapshot, publish it
+      as the new current epoch and retire the superseded one (reclaimed
+      when its pin count reaches zero).
+
+    Returns the new epoch id. Every fallible step comes before the
+    writer's catalog changes, so there is no rollback: on error nothing
+    is registered or published, the served epoch is unchanged, and the
+    next successful ingest publishes epoch id current + 1. *)
 
 val load_csv :
   t ->
@@ -204,9 +217,9 @@ val stats : t -> stats
 
 (** Fault sites (see {!Lh_fault.Fault}): ["serve.admit"] fires on every
     admission decision before any accounting mutates; ["epoch.publish"]
-    fires after the writer committed but before the swap — the ingest
-    call errors, the served epoch is unchanged, and retrying the ingest
-    recovers; ["epoch.retire"] fires before an epoch is reclaimed — the
+    fires after the ingest's durable steps but before the writer's
+    catalog changes — the ingest call errors, the served epoch and the
+    writer are unchanged, and retrying the ingest recovers; ["epoch.retire"] fires before an epoch is reclaimed — the
     triggering caller errors, the epoch merely stays live until the next
     reclaim sweep. All three uphold the crash-only contract: a typed
     error to the one affected caller, every other session unaffected. *)

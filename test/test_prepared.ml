@@ -174,7 +174,7 @@ let test_cache_eviction_and_disable () =
   (* Capacity 0 takes the cached path minus the install, so every BI and
      LA shape answers the same rows with the same plan at capacity 0 and
      64 — and [explain], which stops before execution, reports the plan
-     [query_explain] ran. *)
+     [query_analyze] ran. *)
   let eng = Lazy.force Helpers.tpch_engine in
   let saved = L.Engine.config eng in
   let at capacity sql =
@@ -182,7 +182,7 @@ let test_cache_eviction_and_disable () =
     Fun.protect
       ~finally:(fun () -> L.Engine.set_config eng saved)
       (fun () ->
-        let result, ex = L.Engine.query_explain eng sql in
+        let result, ex, _ = L.Engine.query_analyze eng sql in
         (Table.to_rows result, ex, L.Engine.explain eng sql))
   in
   let same_plan what (a : L.Engine.explain) (b : L.Engine.explain) =
@@ -196,8 +196,8 @@ let test_cache_eviction_and_disable () =
       let rows0, ex0, plain0 = at 0 sql in
       Helpers.check_rows_equal (name ^ " rows at capacity 0 vs 64") rows64 rows0;
       same_plan (name ^ " explain at capacity 0 vs 64") ex64 ex0;
-      same_plan (name ^ " explain vs query_explain") ex64 plain64;
-      same_plan (name ^ " explain vs query_explain at capacity 0") ex0 plain0)
+      same_plan (name ^ " explain vs query_analyze") ex64 plain64;
+      same_plan (name ^ " explain vs query_analyze at capacity 0") ex0 plain0)
     Helpers.
       [
         ("q1", q1); ("q3", q3); ("q5", q5); ("q6", q6); ("q10", q10);

@@ -94,6 +94,30 @@ let test_ingest_error_keeps_epoch () =
   check_sum "old generation still served" 0 (Serve.query_epoch s q_sum);
   Serve.close svc
 
+(* With no store there is nothing to roll back either: every fallible
+   ingest step runs before the writer's catalog changes, so a failed
+   ingest of a new table never rides along with the next publish, and
+   published epoch ids stay contiguous. *)
+let test_failed_ingest_invisible () =
+  let _, svc = fresh_service () in
+  let e0 = Serve.current_epoch svc in
+  Fun.protect ~finally:Lh_fault.Fault.disarm_all (fun () ->
+      Lh_fault.Fault.arm "epoch.publish";
+      match Serve.ingest_rows svc ~name:"u" ~schema (rows 2) with
+      | Ok _ -> Alcotest.fail "ingest with epoch.publish armed should fail"
+      | Error (Serve.Engine_error (Engine.Error.Fault_injected _)) -> ()
+      | Error e -> Alcotest.failf "unexpected error: %s" (Serve.error_to_string e));
+  (match Serve.ingest_rows svc ~name:"t" ~schema (rows 1) with
+  | Ok e -> Alcotest.(check int) "contiguous epoch id" (e0 + 1) e
+  | Error e -> Alcotest.failf "ingest t: %s" (Serve.error_to_string e));
+  let s = Serve.open_session svc in
+  (match Serve.query s "select sum(v) as s from u" with
+  | Error (Serve.Engine_error (Engine.Error.Unknown_table "u")) -> ()
+  | Ok _ -> Alcotest.fail "the failed ingest of u became visible"
+  | Error e -> Alcotest.failf "unexpected error: %s" (Serve.error_to_string e));
+  check_sum "t at generation 1" 1 (Serve.query_epoch s q_sum);
+  Serve.close svc
+
 (* ---- admission control ---- *)
 
 let test_session_cap () =
@@ -382,6 +406,8 @@ let () =
           Alcotest.test_case "pinned reads survive ingest" `Quick test_pinned_reads;
           Alcotest.test_case "retire on unpin" `Quick test_epoch_retire;
           Alcotest.test_case "failed ingest keeps epoch" `Quick test_ingest_error_keeps_epoch;
+          Alcotest.test_case "a failed ingest never becomes visible" `Quick
+            test_failed_ingest_invisible;
         ] );
       ( "admission",
         [
