@@ -69,7 +69,9 @@ echo "lhserve failed-ingest smoke ok"
 # the checkpoint + a one-batch WAL suffix) and exits via the graceful
 # "shutdown" verb; run 2 recovers the directory and must answer the
 # last acknowledged state before any new ingest. stdout is diffed
-# exactly; recovery chatter goes to stderr.
+# exactly; recovery chatter goes to stderr. The directory must then hold
+# just the checkpoint and the WAL: recovery finds checkpoints by scan, so
+# there is no index file, and nothing else may be left behind.
 lh_data=$(mktemp -d)
 durable_out1=$(printf 'open\ningest t k:int:key,v:float\n0,1.5\n1,2.5\n.\ningest t k:int:key,v:float\n0,4\n1,6\n.\ningest t k:int:key,v:float\n0,7\n1,3\n.\nquery 0 select sum(v) as s from t\nshutdown\n' \
   | dune exec bin/lhserve.exe -- --data-dir "$lh_data" --wal-sync always --checkpoint-every 2 2>/dev/null)
@@ -86,11 +88,19 @@ durable_want2='ok session 0
 ok epoch 2 rows 1
 10
 ok bye'
+durable_files=$(ls -A "$lh_data")
+durable_files_want='ckpt-000000000002.lhc
+wal.log'
 rm -rf "$lh_data"
 if [ "$durable_out1" != "$durable_want1" ] || [ "$durable_out2" != "$durable_want2" ]; then
   echo "ci FAIL: durable lhserve transcript mismatch" >&2
   printf 'run1 got:\n%s\n\nrun1 want:\n%s\n\nrun2 got:\n%s\n\nrun2 want:\n%s\n' \
     "$durable_out1" "$durable_want1" "$durable_out2" "$durable_want2" >&2
+  exit 1
+fi
+if [ "$durable_files" != "$durable_files_want" ]; then
+  echo "ci FAIL: durable data dir holds unexpected files" >&2
+  printf 'got:\n%s\n\nwant:\n%s\n' "$durable_files" "$durable_files_want" >&2
   exit 1
 fi
 echo "lhserve durable restart smoke ok"
@@ -139,8 +149,9 @@ LH_DOMAINS=4 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts "${
 # plan_cache.fill is unreachable (nothing is ever installed) and excused.
 LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts "${LH_FAULT_COUNT:-40}" --quiet
 # Kill-and-restart recovery leg: spawn real lhserve children, SIGKILL
-# them mid-ingest at WAL/checkpoint/manifest fault sites (including
-# torn-write variants and kills during recovery itself), restart on the
+# them mid-ingest at WAL/checkpoint fault sites (including torn-write
+# variants, a kill between a checkpoint's install and its WAL reset, and
+# kills during recovery itself), restart on the
 # same --data-dir and require every acknowledged batch to be
 # query-visible and bit-identical to a sequential oracle — unacked
 # batches may be absent or complete, never partial. LH_KILL_COUNT

@@ -28,12 +28,12 @@ let seq_of_filename name =
   end
   else None
 
-let write_all fd s =
-  let n = String.length s in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      (try Unix.fsync fd with Unix.Unix_error _ -> ());
+      Unix.close fd
 
 (* The header frame carries (seq, ntables) as a payload of two i64s. *)
 let encode_header ~seq ~ntables =
@@ -64,10 +64,10 @@ let write ~dir ~seq tables =
      | Some torn ->
          (* Torn checkpoint simulation: partial temp file, then death —
             recovery must ignore the .tmp leftover. *)
-         write_all fd (String.sub data 0 (min torn (String.length data)));
+         Wal.write_all fd (String.sub data 0 (min torn (String.length data)));
          Kill.now ()
      | None -> ());
-     write_all fd data;
+     Wal.write_all fd data;
      Unix.fsync fd
    with
   | () -> Unix.close fd
@@ -76,62 +76,43 @@ let write ~dir ~seq tables =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise exn);
   Unix.rename tmp final;
-  Obs.incr c_written;
-  name
+  fsync_dir dir;
+  Obs.incr c_written
 
 exception Bad of string
 
 let load path =
   Fault.hit fault_load;
   (match Kill.probe "checkpoint.load" with Some _ -> Kill.now () | None -> ());
-  match
-    match open_in_bin path with
-    | exception Sys_error m -> Error m
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let data = really_input_string ic (in_channel_length ic) in
-            let len = String.length data in
-            if len < String.length magic || String.sub data 0 (String.length magic) <> magic
-            then Error "bad checkpoint magic"
-            else begin
-              let off = ref (String.length magic) in
-              let take_frame () =
-                if !off + Wal.frame_header_len > len then raise (Bad "short frame header");
-                let plen = Int32.to_int (String.get_int32_le data !off) in
-                let crc = String.get_int32_le data (!off + 4) in
-                if plen <= 0 || !off + Wal.frame_header_len + plen > len then
-                  raise (Bad "short frame");
-                if Crc32.sub data ~pos:(!off + Wal.frame_header_len) ~len:plen <> crc then
-                  raise (Bad "frame checksum mismatch");
-                let payload = String.sub data (!off + Wal.frame_header_len) plen in
-                off := !off + Wal.frame_header_len + plen;
-                payload
-              in
-              match
-                let header = take_frame () in
-                if String.length header <> 16 then raise (Bad "bad checkpoint header");
-                let seq = Int64.to_int (String.get_int64_le header 0) in
-                let ntables = Int64.to_int (String.get_int64_le header 8) in
-                if seq < 0 || ntables < 0 then raise (Bad "bad checkpoint header");
-                let tables =
-                  List.init ntables (fun _ ->
-                      match Wal.decode_payload (take_frame ()) with
-                      | Ok b -> (b.Wal.b_name, b.Wal.b_schema, b.Wal.b_rows)
-                      | Error m -> raise (Bad m))
-                in
-                if !off <> len then raise (Bad "trailing garbage in checkpoint");
-                (seq, tables)
-              with
-              | r -> Ok r
-              | exception Bad m -> Error m
-            end)
-  with
-  | Ok r -> Ok r
-  | Error m -> Error m
-  | exception Sys_error m -> Error m
-  | exception End_of_file -> Error "truncated checkpoint"
+  match Wal.read_file path with
+  | None -> Error "unreadable checkpoint"
+  | Some data when not (String.starts_with ~prefix:magic data) -> Error "bad checkpoint magic"
+  | Some data -> (
+      let off = ref (String.length magic) in
+      let take_frame () =
+        match Wal.read_frame data !off with
+        | Some (payload, next) ->
+            off := next;
+            payload
+        | None -> raise (Bad "bad checkpoint frame")
+      in
+      match
+        let header = take_frame () in
+        if String.length header <> 16 then raise (Bad "bad checkpoint header");
+        let seq = Int64.to_int (String.get_int64_le header 0) in
+        let ntables = Int64.to_int (String.get_int64_le header 8) in
+        if seq < 0 || ntables < 0 then raise (Bad "bad checkpoint header");
+        let tables =
+          List.init ntables (fun _ ->
+              match Wal.decode_payload (take_frame ()) with
+              | Ok b -> (b.Wal.b_name, b.Wal.b_schema, b.Wal.b_rows)
+              | Error m -> raise (Bad m))
+        in
+        if !off <> String.length data then raise (Bad "trailing garbage in checkpoint");
+        (seq, tables)
+      with
+      | r -> Ok r
+      | exception Bad m -> Error m)
 
 let scan ~dir =
   match Sys.readdir dir with

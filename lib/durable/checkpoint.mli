@@ -1,13 +1,15 @@
 (** Checkpoint files: a full snapshot of every relation's rows at one
     durable sequence number, written install-on-success (temp + fsync +
-    rename) so a crash mid-write never produces a half-installed file.
+    rename + directory fsync) so a crash mid-write never produces a
+    half-installed file.
 
     File layout: magic ["LHCKPT01"], one framed header record carrying
     the sequence number and table count, then one framed {!Wal.batch}
     record per table (same codec and CRC framing as the WAL, each
     batch's [b_seq] set to the checkpoint's). A load validates every
-    frame; any corruption invalidates the whole file and the store
-    falls back to the next-newest valid checkpoint.
+    frame with the WAL's frame reader ({!Wal.read_frame}); any
+    corruption invalidates the whole file and the store falls back to
+    the next-newest valid checkpoint.
 
     Fault sites: [checkpoint.write] (before the temp file is written,
     torn kill point mid-file), [checkpoint.load] (before a file is
@@ -22,10 +24,10 @@ val seq_of_filename : string -> int option
 (** Inverse of {!filename}, accepting any digit width — [%012d] pads
     but does not cap, so names widen past sequence [10{^12}]. *)
 
-val write : dir:string -> seq:int -> table list -> string
-(** Writes and installs [ckpt-<seq>.lhc] in [dir]; returns the
-    basename. Raises on I/O failure (the temp file is removed
-    best-effort; nothing is installed). *)
+val write : dir:string -> seq:int -> table list -> unit
+(** Writes and installs [ckpt-<seq>.lhc] in [dir]. Raises on I/O
+    failure (the temp file is removed best-effort; nothing is
+    installed). *)
 
 val load : string -> (int * table list, string) result
 (** Full-path load; [Ok (seq, tables)] only if every frame validates. *)

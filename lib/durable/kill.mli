@@ -11,7 +11,7 @@
     a fired kill point terminates the process with SIGKILL so the
     restart path is exercised for real. Kill points share names with the
     durable fault sites ([wal.append], [wal.fsync], [wal.replay],
-    [checkpoint.write], [checkpoint.load], [manifest.swap]). *)
+    [wal.reset], [checkpoint.write], [checkpoint.load]). *)
 
 type spec = { k_site : string; k_nth : int; k_torn : int }
 

@@ -1,9 +1,7 @@
-(* Durable store: manifest + WAL + checkpoints, and recovery. See
-   store.mli. *)
+(* Durable store: WAL + checkpoints, and recovery. See store.mli. *)
 
 module Obs = Lh_obs.Obs
 module Hist = Lh_obs.Hist
-module Fault = Lh_fault.Fault
 module Timing = Lh_util.Timing
 
 let c_recover_replayed = Obs.counter "recover.replayed"
@@ -11,21 +9,15 @@ let c_recover_skipped = Obs.counter "recover.skipped"
 let c_recover_tables = Obs.counter "recover.checkpoint_tables"
 let c_recover_torn = Obs.counter "recover.torn_tails"
 let c_recover_opens = Obs.counter "recover.opens"
-let c_recover_fallbacks = Obs.counter "recover.manifest_fallbacks"
 let h_replay = Hist.histogram "recover.replay"
-let fault_manifest = Fault.site "manifest.swap"
 
-let manifest_magic = "LHMANIFEST001"
-let manifest_name = "MANIFEST"
 let wal_name = "wal.log"
 
 type t = {
   st_dir : string;
-  st_sync : Wal.sync;
   st_lock : Mutex.t;
-  mutable st_wal : Wal.writer;
+  st_wal : Wal.writer;
   mutable st_seq : int;  (* last durable sequence handed out *)
-  mutable st_ckpt_seq : int;
   mutable st_closed : bool;
 }
 
@@ -48,99 +40,17 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-
-let write_all fd s =
-  let n = String.length s in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Manifest *)
-
-let write_manifest ~dir ~ckpt_file ~ckpt_seq =
-  let tmp = Filename.concat dir (manifest_name ^ ".tmp") in
-  let final = Filename.concat dir manifest_name in
-  let body =
-    Printf.sprintf "%s\ncheckpoint %s %d\n" manifest_magic
-      (match ckpt_file with Some f -> f | None -> "-")
-      ckpt_seq
-  in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (match
-     write_all fd body;
-     Unix.fsync fd
-   with
-  | () -> Unix.close fd
-  | exception exn ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise exn);
-  (* The swap point: a fault or kill here leaves only the temp file, and
-     recovery still sees the previous manifest. *)
-  Fault.hit fault_manifest;
-  (match Kill.probe "manifest.swap" with Some _ -> Kill.now () | None -> ());
-  Unix.rename tmp final;
-  fsync_dir dir
-
-(* A missing manifest means a genuinely fresh directory (it is the first
-   file ever written there); a present-but-unreadable one means the
-   durable state on disk may still be intact, so the two must recover
-   differently. *)
-type manifest = M_absent | M_invalid | M_ok of string option * int
-
-let read_manifest dir =
-  let path = Filename.concat dir manifest_name in
-  if not (Sys.file_exists path) then M_absent
-  else
-    match open_in_bin path with
-    | exception Sys_error _ -> M_invalid
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match input_line ic with
-            | exception End_of_file -> M_invalid
-            | m when m <> manifest_magic -> M_invalid
-            | _ -> (
-                match input_line ic with
-                | exception End_of_file -> M_invalid
-                | line -> (
-                    match String.split_on_char ' ' (String.trim line) with
-                    | [ "checkpoint"; file; seq ] -> (
-                        match int_of_string_opt seq with
-                        | Some s when s >= 0 ->
-                            M_ok ((if file = "-" then None else Some file), s)
-                        | _ -> M_invalid)
-                    | _ -> M_invalid)))
-
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
-let load_checkpoint dir named =
-  (* Try the manifest's checkpoint first, then every installed one,
-     newest first — a corrupt file is skipped, not fatal. *)
-  let candidates =
-    let scanned = List.map snd (Checkpoint.scan ~dir) in
-    match named with
-    | Some f -> f :: List.filter (fun n -> n <> f) scanned
-    | None -> scanned
-  in
-  let rec go = function
-    | [] -> (0, [], None)
-    | f :: rest -> (
-        match Checkpoint.load (Filename.concat dir f) with
-        | Ok (seq, tables) -> (seq, tables, Some f)
-        | Error _ -> go rest)
-  in
-  go candidates
+(* The newest installed checkpoint that loads; a corrupt one is skipped,
+   not fatal. No checkpoint at all is sequence 0 with no tables. *)
+let rec load_newest dir = function
+  | [] -> (0, [])
+  | (_, f) :: older -> (
+      match Checkpoint.load (Filename.concat dir f) with
+      | Ok r -> r
+      | Error _ -> load_newest dir older)
 
 let open_dir ?sync dir =
   let sync = match sync with Some s -> s | None -> Wal.default_sync () in
@@ -148,85 +58,41 @@ let open_dir ?sync dir =
   Obs.incr c_recover_opens;
   let wal_path = Filename.concat dir wal_name in
   let t0 = Timing.monotonic_now () in
-  let recover ~ckpt_seq ~tables =
-    Obs.add c_recover_tables (List.length tables);
-    let r = Wal.replay wal_path in
-    if r.Wal.r_torn then Obs.incr c_recover_torn;
-    (* Duplicate sequence numbers arise only from a failed append whose
-       frame nevertheless survived on disk; the retry — the later
-       record — is the acknowledged content, so dedup keeps the LAST
-       occurrence. (Wal.append also truncates such frames eagerly; this
-       is the replay-side backstop for the crash window.) *)
-    let last = Hashtbl.create 64 in
-    List.iteri (fun i (b : Wal.batch) -> Hashtbl.replace last b.Wal.b_seq i) r.Wal.r_batches;
-    let batches =
-      List.filteri
-        (fun i (b : Wal.batch) ->
-          if b.Wal.b_seq <= ckpt_seq || Hashtbl.find last b.Wal.b_seq <> i then begin
-            Obs.incr c_recover_skipped;
-            false
-          end
-          else begin
-            Obs.incr c_recover_replayed;
-            true
-          end)
-        r.Wal.r_batches
-    in
-    let top =
-      List.fold_left (fun acc (b : Wal.batch) -> max acc b.Wal.b_seq) ckpt_seq batches
-    in
-    ( {
-        rc_tables = tables;
-        rc_batches = batches;
-        rc_seq = top;
-        rc_checkpoint_seq = ckpt_seq;
-        rc_torn = r.Wal.r_torn;
-      },
-      ckpt_seq,
-      r.Wal.r_valid_len )
+  let ckpt_seq, tables = load_newest dir (Checkpoint.scan ~dir) in
+  Obs.add c_recover_tables (List.length tables);
+  let r = Wal.replay wal_path in
+  if r.Wal.r_torn then Obs.incr c_recover_torn;
+  (* Duplicate sequence numbers arise only from a failed append whose
+     frame nevertheless survived on disk; the retry — the later record —
+     is the acknowledged content, so dedup keeps the LAST occurrence.
+     (Wal.append also truncates such frames eagerly; this is the
+     replay-side backstop for the crash window.) *)
+  let last = Hashtbl.create 64 in
+  List.iteri (fun i (b : Wal.batch) -> Hashtbl.replace last b.Wal.b_seq i) r.Wal.r_batches;
+  let batches =
+    List.filteri
+      (fun i (b : Wal.batch) ->
+        if b.Wal.b_seq <= ckpt_seq || Hashtbl.find last b.Wal.b_seq <> i then begin
+          Obs.incr c_recover_skipped;
+          false
+        end
+        else begin
+          Obs.incr c_recover_replayed;
+          true
+        end)
+      r.Wal.r_batches
   in
-  let recovered, ckpt_seq, valid_len =
-    match read_manifest dir with
-    | M_absent ->
-        (* Fresh store (or a crash before the very first manifest swap —
-           nothing was ever acknowledged, so starting empty is correct). *)
-        write_manifest ~dir ~ckpt_file:None ~ckpt_seq:0;
-        ( { rc_tables = []; rc_batches = []; rc_seq = 0; rc_checkpoint_seq = 0; rc_torn = false },
-          0,
-          Wal.header_len )
-    | M_ok (ckpt_file, manifest_seq) ->
-        let ckpt_seq, tables =
-          match ckpt_file with
-          | None -> (manifest_seq, [])
-          | Some f ->
-              let seq, tables, _ = load_checkpoint dir (Some f) in
-              (seq, tables)
-        in
-        recover ~ckpt_seq ~tables
-    | M_invalid ->
-        (* The manifest is present but corrupt or unreadable. The
-           checkpoints and WAL it pointed at are still on disk, so fall
-           back to the newest loadable checkpoint plus a full WAL
-           replay, then heal the manifest — never truncate durable
-           state because its tiny index file was damaged. *)
-        Obs.incr c_recover_fallbacks;
-        let ckpt_seq, tables, ckpt_file = load_checkpoint dir None in
-        let res = recover ~ckpt_seq ~tables in
-        write_manifest ~dir ~ckpt_file ~ckpt_seq;
-        res
-  in
+  let top = List.fold_left (fun acc (b : Wal.batch) -> max acc b.Wal.b_seq) ckpt_seq batches in
   Hist.observe h_replay (Timing.monotonic_now () -. t0);
-  let wal = Wal.open_at ~path:wal_path ~sync ~valid_len in
-  ( {
-      st_dir = dir;
-      st_sync = sync;
-      st_lock = Mutex.create ();
-      st_wal = wal;
-      st_seq = recovered.rc_seq;
-      st_ckpt_seq = ckpt_seq;
-      st_closed = false;
-    },
-    recovered )
+  let wal = Wal.open_at ~path:wal_path ~sync ~valid_len:r.Wal.r_valid_len in
+  ( { st_dir = dir; st_lock = Mutex.create (); st_wal = wal; st_seq = top; st_closed = false },
+    {
+      rc_tables = tables;
+      rc_batches = batches;
+      rc_seq = top;
+      rc_checkpoint_seq = ckpt_seq;
+      rc_torn = r.Wal.r_torn;
+    } )
 
 let replay_into r register =
   List.iter (fun (name, schema, rows) -> register ~name ~schema rows) r.rc_tables;
@@ -245,26 +111,19 @@ let log_batch t ~name ~schema rows =
       t.st_seq <- seq;
       seq)
 
+(* Install, reset, prune. A crash or failure after the install leaves
+   WAL records at or below [seq], which recovery skips, and older
+   checkpoints, which the next checkpoint prunes. *)
 let checkpoint t tables =
   locked t (fun () ->
       if t.st_closed then failwith "Store.checkpoint: closed store";
       let seq = t.st_seq in
-      let file = Checkpoint.write ~dir:t.st_dir ~seq tables in
-      fsync_dir t.st_dir;
-      write_manifest ~dir:t.st_dir ~ckpt_file:(Some file) ~ckpt_seq:seq;
-      (* The manifest now supersedes the WAL prefix: reset the log. A
-         crash before this truncate merely leaves stale records that
-         replay skips by sequence number. *)
-      Wal.close t.st_wal;
-      t.st_wal <- Wal.create ~path:(Filename.concat t.st_dir wal_name) ~sync:t.st_sync;
-      t.st_ckpt_seq <- seq;
-      (* Prune superseded checkpoints (best-effort). *)
+      Checkpoint.write ~dir:t.st_dir ~seq tables;
+      Wal.reset t.st_wal;
       List.iter
         (fun (s, f) ->
           if s < seq then try Sys.remove (Filename.concat t.st_dir f) with Sys_error _ -> ())
         (Checkpoint.scan ~dir:t.st_dir))
-
-let flush t = locked t (fun () -> if not t.st_closed then Wal.flush t.st_wal)
 
 let close t =
   locked t (fun () ->
@@ -274,6 +133,4 @@ let close t =
       end)
 
 let dir t = t.st_dir
-let seq t = locked t (fun () -> t.st_seq)
-let sync_mode t = t.st_sync
 let wal_path t = Filename.concat t.st_dir wal_name

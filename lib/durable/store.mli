@@ -1,22 +1,13 @@
-(** A durable store directory: one manifest, one WAL, and installed
-    checkpoint files.
+(** A durable store directory: one WAL and installed checkpoint files.
 
     {v
-      <dir>/MANIFEST          "LHMANIFEST001\ncheckpoint <file|-> <seq>\n"
       <dir>/wal.log           magic + framed records (see Wal)
       <dir>/ckpt-<seq>.lhc    installed checkpoints (see Checkpoint)
     v}
 
-    Recovery state machine ({!open_dir}):
-    + no manifest → fresh store (manifest written, empty WAL created) —
-      the manifest is the first file ever written to the directory, so
-      its absence means nothing was ever acknowledged;
-    + manifest present but corrupt/unreadable → fall back to the newest
-      loadable installed checkpoint plus a full WAL replay, then
-      rewrite the manifest (a damaged index file never discards the
-      durable state it pointed at);
-    + manifest names a checkpoint → load it; if invalid, fall back to
-      the newest valid installed checkpoint (corrupt ones are skipped);
+    Recovery ({!open_dir}) is one path, whatever the directory holds:
+    + load the newest installed checkpoint that validates, skipping
+      corrupt ones; with none, start from sequence 0 and no tables;
     + replay the WAL suffix: records with [seq <=] the checkpoint's are
       skipped; of records sharing a [seq] (a failed-then-retried append
       whose first frame survived) only the last — the acknowledged
@@ -25,11 +16,17 @@
     + the writer resumes at the end of the last good frame and the next
       durable sequence number is one past the highest recovered.
 
-    A checkpoint ({!checkpoint}) writes the file install-on-success,
-    swaps the manifest (write temp + fsync + rename — the [manifest.swap]
-    fault site fires between the two), truncates the WAL to its header
-    and prunes older checkpoints. A crash anywhere in that sequence
-    recovers to either the old or the new checkpoint, never between.
+    Recovery writes nothing but that truncation (and, in a fresh or
+    unreadable WAL, its header). Any other file in the directory — a
+    [.tmp] left by a torn checkpoint write, or a [MANIFEST] from an
+    older build — is ignored.
+
+    A checkpoint ({!checkpoint}) installs the file (temp + fsync +
+    rename + directory fsync), resets the WAL to its header in place
+    ({!Wal.reset}, which fires the [wal.reset] fault site and kill point
+    first) and prunes older checkpoints. A crash or failure between any
+    two steps recovers to the same state: the newest checkpoint plus
+    whatever WAL records it does not cover.
 
     Acknowledgement contract: {!log_batch} returns only after the
     record has reached the OS (and the disk, under [Wal.Always]) — the
@@ -64,17 +61,12 @@ val log_batch :
     writer's sync point; returns the sequence. *)
 
 val checkpoint : t -> Checkpoint.table list -> unit
-(** Snapshot [tables] at the current sequence and reset the WAL. *)
-
-val flush : t -> unit
-(** fsync the WAL (shutdown path). *)
+(** Snapshot [tables] at the current sequence, reset the WAL and prune
+    older checkpoints. On failure the store stays usable: the next
+    {!log_batch} appends to a writer that matches its file. *)
 
 val close : t -> unit
-(** {!flush} then release the WAL descriptor. Idempotent. *)
+(** fsync the WAL, then release its descriptor. Idempotent. *)
 
 val dir : t -> string
-val seq : t -> int
-(** Last durable sequence number handed out. *)
-
-val sync_mode : t -> Wal.sync
 val wal_path : t -> string

@@ -13,6 +13,7 @@ let c_truncated = Obs.counter "wal.truncated"
 let fault_append = Fault.site "wal.append"
 let fault_fsync = Fault.site "wal.fsync"
 let fault_replay = Fault.site "wal.replay"
+let fault_reset = Fault.site "wal.reset"
 
 type sync = Always | Group of int | Never
 
@@ -26,11 +27,6 @@ let sync_of_string s =
       | Some n when n >= 1 -> Ok (Group n)
       | _ -> Error (Printf.sprintf "bad group size in LH_WAL_SYNC %S" s))
   | s -> Error (Printf.sprintf "bad LH_WAL_SYNC %S (want always|group[:N]|none)" s)
-
-let sync_to_string = function
-  | Always -> "always"
-  | Group n -> Printf.sprintf "group:%d" n
-  | Never -> "none"
 
 let default_sync () =
   match Sys.getenv_opt "LH_WAL_SYNC" with
@@ -181,17 +177,28 @@ let frame payload =
   Buffer.add_string buf payload;
   Buffer.contents buf
 
-(* ------------------------------------------------------------------ *)
-(* Writer *)
+let read_frame data off =
+  let start = off + frame_header_len in
+  if start > String.length data then None
+  else
+    let plen = Int32.to_int (String.get_int32_le data off) in
+    (* a zero length is a preallocated-zeros tail; a negative one is a
+       u32 past 2^31, i.e. overlong *)
+    if plen <= 0 || start + plen > String.length data
+       || Crc32.sub data ~pos:start ~len:plen <> String.get_int32_le data (off + 4)
+    then None
+    else Some (String.sub data start plen, start + plen)
 
-type writer = {
-  w_path : string;
-  w_fd : Unix.file_descr;
-  w_sync : sync;
-  mutable w_off : int;  (* end of last complete frame *)
-  mutable w_pending : int;  (* appends since last fsync *)
-  mutable w_closed : bool;
-}
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic -> (
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic (in_channel_length ic) with
+          | data -> Some data
+          | exception (Sys_error _ | End_of_file) -> None))
 
 let write_all fd s =
   let n = String.length s in
@@ -200,19 +207,23 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Writer *)
+
+type writer = {
+  w_fd : Unix.file_descr;
+  w_sync : sync;
+  mutable w_off : int;  (* end of last complete frame *)
+  mutable w_pending : int;  (* appends since last fsync *)
+  mutable w_closed : bool;
+}
+
 let fsync w =
   Fault.hit fault_fsync;
   (match Kill.probe "wal.fsync" with Some _ -> Kill.now () | None -> ());
   Unix.fsync w.w_fd;
   w.w_pending <- 0;
   Obs.incr c_fsyncs
-
-let create ~path ~sync =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  write_all fd magic;
-  let w = { w_path = path; w_fd = fd; w_sync = sync; w_off = header_len; w_pending = 0; w_closed = false } in
-  (match sync with Never -> () | _ -> fsync w);
-  w
 
 let open_at ~path ~sync ~valid_len =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
@@ -256,7 +267,7 @@ let open_at ~path ~sync ~valid_len =
     end
   in
   ignore (Unix.lseek fd off Unix.SEEK_SET);
-  { w_path = path; w_fd = fd; w_sync = sync; w_off = off; w_pending = 0; w_closed = false }
+  { w_fd = fd; w_sync = sync; w_off = off; w_pending = 0; w_closed = false }
 
 (* A failed or interrupted frame write must not leave torn bytes in the
    middle of the log: truncate back to the last good offset before the
@@ -312,16 +323,27 @@ let append w b =
       truncate_to_good w;
       raise exn
 
-let flush w = if not w.w_closed then fsync w
+(* The offset moves first: whatever fails below — the truncate or the
+   sync point — the writer's next frame lands right after the header, and
+   any stale frames left on disk carry sequence numbers at or below the
+   checkpoint that superseded them, which replay skips. *)
+let reset w =
+  if w.w_closed then failwith "Wal.reset: closed writer";
+  Fault.hit fault_reset;
+  (match Kill.probe "wal.reset" with Some _ -> Kill.now () | None -> ());
+  w.w_off <- header_len;
+  w.w_pending <- 0;
+  ignore (Unix.lseek w.w_fd header_len Unix.SEEK_SET);
+  Unix.ftruncate w.w_fd header_len;
+  match w.w_sync with Never -> () | Always | Group _ -> fsync w
 
 let close w =
   if not w.w_closed then begin
-    (try flush w with Unix.Unix_error _ -> ());
+    (try fsync w with Unix.Unix_error _ -> ());
     w.w_closed <- true;
     Unix.close w.w_fd
   end
 
-let path w = w.w_path
 let tell w = w.w_off
 
 (* ------------------------------------------------------------------ *)
@@ -329,63 +351,33 @@ let tell w = w.w_off
 
 type replayed = { r_batches : batch list; r_valid_len : int; r_torn : bool }
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
 let replay path =
   match read_file path with
   | None -> { r_batches = []; r_valid_len = header_len; r_torn = false }
+  | Some data when not (String.starts_with ~prefix:magic data) ->
+      (* Unrecognizable header: recover nothing, but flag it so the
+         caller rewrites the log rather than appending to garbage. *)
+      { r_batches = []; r_valid_len = header_len; r_torn = true }
   | Some data ->
-      let len = String.length data in
-      if len < header_len || String.sub data 0 header_len <> magic then
-        (* Unrecognizable header: recover nothing, but flag it so the
-           caller rewrites the log rather than appending to garbage. *)
-        { r_batches = []; r_valid_len = header_len; r_torn = true }
-      else begin
-        let batches = ref [] in
-        let off = ref header_len in
-        let torn = ref false in
-        let stop = ref false in
-        while not !stop do
-          if !off + frame_header_len > len then begin
-            (* Short frame header; trailing bytes are a torn tail. *)
-            if !off < len then torn := true;
-            stop := true
-          end
-          else begin
-            Fault.hit fault_replay;
-            (match Kill.probe "wal.replay" with Some _ -> Kill.now () | None -> ());
-            let plen = Int32.to_int (String.get_int32_le data !off) in
-            let crc = String.get_int32_le data (!off + 4) in
-            if plen <= 0 || !off + frame_header_len + plen > len then begin
-              (* Zero-length (preallocated-zeros) or overlong tail. *)
-              torn := true;
-              stop := true
-            end
-            else if Crc32.sub data ~pos:(!off + frame_header_len) ~len:plen <> crc then begin
-              torn := true;
-              stop := true
-            end
-            else
-              match
-                decode_payload (String.sub data (!off + frame_header_len) plen)
-              with
-              | Error _ ->
-                  torn := true;
-                  stop := true
+      (* Walk frames to end-of-file or the first bad one; whatever
+         follows the last good frame is a torn tail. *)
+      let rec go acc off =
+        let stop torn = { r_batches = List.rev acc; r_valid_len = off; r_torn = torn } in
+        if off >= String.length data then stop false
+        else begin
+          Fault.hit fault_replay;
+          (match Kill.probe "wal.replay" with Some _ -> Kill.now () | None -> ());
+          match read_frame data off with
+          | None -> stop true
+          | Some (payload, next) -> (
+              match decode_payload payload with
+              | Error _ -> stop true
               | Ok b ->
-                  batches := b :: !batches;
                   Obs.incr c_replayed;
-                  off := !off + frame_header_len + plen
-          end
-        done;
-        { r_batches = List.rev !batches; r_valid_len = !off; r_torn = !torn }
-      end
+                  go (b :: acc) next)
+        end
+      in
+      go [] header_len
 
 (* ------------------------------------------------------------------ *)
 (* Test helpers *)

@@ -21,13 +21,13 @@
     torn tail. A torn tail is an expected crash artifact, never fatal.
 
     Fault sites: [wal.append] (before a frame is written), [wal.fsync]
-    (before fsync), [wal.replay] (per frame during replay). Kill points
-    (see {!Kill}) share those names. *)
+    (before fsync), [wal.replay] (per frame during replay), [wal.reset]
+    (before a checkpoint truncates the log). Kill points (see {!Kill})
+    share those names. *)
 
 type sync = Always | Group of int | Never
 
 val sync_of_string : string -> (sync, string) result
-val sync_to_string : sync -> string
 
 val default_sync : unit -> sync
 (** From [LH_WAL_SYNC]; [Group 8] when unset or unparsable. *)
@@ -50,16 +50,25 @@ val decode_payload : string -> (batch, string) result
 val frame : string -> string
 (** [frame payload] = [len ++ crc ++ payload]. *)
 
+val read_frame : string -> int -> (string * int) option
+(** [read_frame data off] reads the frame at byte [off] of a whole-file
+    read: [Some (payload, next_off)] when its header, length and CRC are
+    all good; [None] on a short header, a zero or overlong length, or a
+    checksum mismatch. Shared by {!replay} and [Checkpoint.load]. *)
+
+val read_file : string -> string option
+(** The whole file, or [None] when it cannot be read. *)
+
+val write_all : Unix.file_descr -> string -> unit
+
 (** {1 Writer} *)
 
 type writer
 
-val create : path:string -> sync:sync -> writer
-(** Truncates (or creates) the file and writes the magic header. *)
-
 val open_at : path:string -> sync:sync -> valid_len:int -> writer
-(** Opens an existing log, truncates it to [valid_len] (dropping any
-    torn tail found by {!replay}) and positions the writer there. A
+(** Opens (creating if missing) a log, truncates it to [valid_len]
+    (dropping any torn tail found by {!replay}; [header_len] empties it)
+    and positions the writer there. A
     missing, short or bad-magic header (the empty-and-torn replay case)
     rewrites the file to a fresh header first — frames are never
     appended after garbage that replay would refuse to walk. *)
@@ -72,13 +81,16 @@ val append : writer -> batch -> unit
     neither a torn middle nor a complete frame that the caller regards
     as unacknowledged (callers reuse the sequence number on retry). *)
 
-val flush : writer -> unit
-(** fsync regardless of mode (shutdown path). *)
+val reset : writer -> unit
+(** Truncates the log to its header in place, after a checkpoint has
+    superseded every frame in it, then observes the sync point (fsync
+    unless [Never]). The writer's offset moves to the header before the
+    truncate, so it matches the file and stays usable even when the
+    truncate or the fsync fails. Raises on a closed writer. *)
 
 val close : writer -> unit
-(** {!flush} then close the descriptor. Idempotent. *)
+(** fsync regardless of mode, then close the descriptor. Idempotent. *)
 
-val path : writer -> string
 val tell : writer -> int
 (** Byte offset of the end of the last complete frame. *)
 

@@ -76,7 +76,7 @@ let scenarios =
     ("wal.append", Durable);
     ("wal.fsync", Durable);
     ("checkpoint.write", Durable);
-    ("manifest.swap", Durable);
+    ("wal.reset", Durable);
     ("wal.replay", Recovery);
     ("checkpoint.load", Recovery);
   ]
@@ -367,9 +367,8 @@ type service = {
 
 (* With [dir], a store is attached: [Always] puts wal.fsync on every
    append's hot path; checkpoint_every 1 puts checkpoint.write and
-   manifest.swap on every durable ingest's. The store opens in the
-   fixture, before the site is armed — a fresh store writes its manifest
-   on open. *)
+   wal.reset on every durable ingest's. The store opens in the fixture,
+   before the site is armed, so only the step's own hits count. *)
 let service ?dir () =
   let store = Option.map (fun d -> fst (Store.open_dir ~sync:Wal.Always d)) dir in
   let eng = L.Engine.create ~config:{ L.Config.default with L.Config.domains = 1 } () in
@@ -461,45 +460,65 @@ let serve_site site =
             Error "leaked epoch not reclaimed by the next sweep"
           else check_q "post-sweep" f.victim 2)
 
-(* Durable scenarios: the WAL / checkpoint / manifest fault sites must
-   uphold the durability contract — a faulted durable ingest surfaces as
-   the typed error, the served epoch and the live writer are untouched
-   (rollback), retrying publishes cleanly, and a restart on the same
-   directory recovers the last acknowledged state bit-identically. *)
+(* A durable step may hit its site several times (wal.fsync: the append's
+   sync point and the checkpoint's WAL reset), and each hit must uphold
+   the contract. Count the hits one clean step makes on a fresh fixture,
+   with a trigger that never fires, then run the trial at every one. *)
+let sweep ~site ~release ~fixture ~step ~check =
+  let hits =
+    let fx = fixture () in
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.disarm_all ();
+        release fx)
+      (fun () ->
+        Fault.arm ~trigger:(Fault.Nth max_int) site;
+        ignore (step fx);
+        Fault.hits site)
+  in
+  let rec go k =
+    if k > hits then Passed
+    else
+      match reached (trial ~trigger:(Fault.Nth k) ~site ~release ~fixture ~step ~check ()) with
+      | Failed m -> Failed (Printf.sprintf "nth=%d: %s" k m)
+      | Passed | Excused _ -> go (k + 1)
+  in
+  if hits = 0 then reached None else go 1
+
+(* Durable scenarios: the WAL / checkpoint fault sites must uphold the
+   durability contract — a faulted durable ingest surfaces as the typed
+   error, the served epoch and the live writer are untouched, retrying
+   publishes cleanly, and a restart on the same directory recovers the
+   last acknowledged state bit-identically. *)
 let durable_site site =
-  reached
-    (trial ~site ~release
-       ~fixture:(fun () -> service ~dir:(temp_dir ()) ())
-       ~step:(fun f -> ingest f 1)
-       ~check:(fun _ f ->
-         check_rollback f >>= fun () ->
-         (* Restart: close the service (and its store), then recover the
-            directory from scratch. *)
-         Serve.close f.svc;
-         check_recovery (Option.get f.dir) 1)
-       ())
+  sweep ~site ~release
+    ~fixture:(fun () -> service ~dir:(temp_dir ()) ())
+    ~step:(fun f -> ingest f 1)
+    ~check:(fun _ f ->
+      check_rollback f >>= fun () ->
+      (* Restart: close the service (and its store), then recover the
+         directory from scratch. *)
+      Serve.close f.svc;
+      check_recovery (Option.get f.dir) 1)
 
 (* Recovery-path sites (wal.replay, checkpoint.load) only fire inside
    [Store.open_dir]: seed a directory with durable state, arm, and demand
    the faulted open fails with the typed error without corrupting
    anything — the next open must recover everything. *)
 let recovery_site site =
-  reached
-    (trial ~site ~release:rm_rf
-       ~fixture:(fun () ->
-         let dir = temp_dir () in
-         let store, _ = Store.open_dir ~sync:(Wal.Group 2) dir in
-         List.iteri
-           (fun g (name, schema, rows) ->
-             ignore (Store.log_batch store ~name ~schema rows);
-             if g = 0 && site = "checkpoint.load" then
-               Store.checkpoint store [ (name, schema, rows) ])
-           (t_batches 2);
-         Store.close store;
-         dir)
-       ~step:(fun dir -> raising (fun () -> Store.close (fst (Store.open_dir dir))))
-       ~check:(fun _ dir -> check_recovery dir 2)
-       ())
+  sweep ~site ~release:rm_rf
+    ~fixture:(fun () ->
+      let dir = temp_dir () in
+      let store, _ = Store.open_dir ~sync:(Wal.Group 2) dir in
+      List.iteri
+        (fun g (name, schema, rows) ->
+          ignore (Store.log_batch store ~name ~schema rows);
+          if g = 0 && site = "checkpoint.load" then Store.checkpoint store [ (name, schema, rows) ])
+        (t_batches 2);
+      Store.close store;
+      dir)
+    ~step:(fun dir -> raising (fun () -> Store.close (fst (Store.open_dir dir))))
+    ~check:(fun _ dir -> check_recovery dir 2)
 
 (* ------------------------------------------------------------------ *)
 
@@ -619,7 +638,7 @@ let kill_scenarios ~count =
       ks_recover_kill = None; ks_sync = "group:2"; ks_ckpt = 2 };
     { ks_name = "checkpoint.write/pre"; ks_kill = k "checkpoint.write:nth=2";
       ks_recover_kill = None; ks_sync = "group:2"; ks_ckpt = 2 };
-    { ks_name = "manifest.swap/mid"; ks_kill = k "manifest.swap:nth=2"; ks_recover_kill = None;
+    { ks_name = "wal.reset/mid"; ks_kill = k "wal.reset:nth=2"; ks_recover_kill = None;
       ks_sync = "group:2"; ks_ckpt = 2 };
     { ks_name = "wal.replay/recovery"; ks_kill = None; ks_recover_kill = k "wal.replay:nth=2";
       ks_sync = "group:2"; ks_ckpt = 0 };

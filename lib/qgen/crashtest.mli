@@ -5,7 +5,8 @@
     query, a direct kernel call, a CSV ingest, a service request, a
     durable ingest or a store recovery — and its post-fault checks. One
     driver, {!trial}, runs the crash-only protocol for every scenario,
-    once per fault kind (generic, timeout, OOM), and asserts:
+    once per fault kind (generic, timeout, OOM) — for the durable and
+    recovery scenarios, once per hit their step makes — and asserts:
 
     + the armed fault fires deterministically and surfaces as the typed
       error the engine contract promises ([Fault_injected] for generic

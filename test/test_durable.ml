@@ -1,6 +1,6 @@
 (* Durable-ingest tests: the WAL record codec (property round-trip plus
    an adversarial corruption corpus), checkpoint files, and the store's
-   recovery state machine. The process-level counterpart — SIGKILL at
+   recovery and checkpoint paths. The process-level counterpart — SIGKILL at
    fault-selected points against a real lhserve — lives in
    Lh_qgen.Crashtest.run_kill (lhfuzz --kill-restart). *)
 
@@ -104,7 +104,7 @@ let qcheck_codec_roundtrip =
 let test_append_replay () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let w = Wal.create ~path ~sync:Wal.Never in
+      let w = Wal.open_at ~path ~sync:Wal.Never ~valid_len:Wal.header_len in
       List.iter (fun g -> Wal.append w (batch g)) [ 0; 1; 2 ];
       Wal.close w;
       let r = Wal.replay path in
@@ -132,7 +132,7 @@ let test_missing_file_replays_empty () =
 let test_truncated_record () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let w = Wal.create ~path ~sync:Wal.Never in
+      let w = Wal.open_at ~path ~sync:Wal.Never ~valid_len:Wal.header_len in
       Wal.append w (batch 0);
       Wal.append w (batch 1);
       Wal.append_torn w (batch 2) ~keep:7;
@@ -152,7 +152,7 @@ let test_truncated_record () =
 let test_flipped_checksum_byte () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let w = Wal.create ~path ~sync:Wal.Never in
+      let w = Wal.open_at ~path ~sync:Wal.Never ~valid_len:Wal.header_len in
       Wal.append w (batch 0);
       let off_before_b1 = Wal.tell w in
       Wal.append w (batch 1);
@@ -168,7 +168,7 @@ let test_flipped_checksum_byte () =
 let test_zero_length_tail () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let w = Wal.create ~path ~sync:Wal.Never in
+      let w = Wal.open_at ~path ~sync:Wal.Never ~valid_len:Wal.header_len in
       Wal.append w (batch 0);
       Wal.close w;
       let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
@@ -183,7 +183,7 @@ let test_zero_length_tail () =
 let test_bad_magic () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let w = Wal.create ~path ~sync:Wal.Never in
+      let w = Wal.open_at ~path ~sync:Wal.Never ~valid_len:Wal.header_len in
       Wal.append w (batch 0);
       Wal.close w;
       Wal.corrupt_byte ~path ~off:0;
@@ -262,33 +262,6 @@ let test_garbage_header_rewritten () =
       Alcotest.(check bool) "content" true
         ((List.hd recovered.Store.rc_batches).Wal.b_rows = rows 1))
 
-(* A corrupt MANIFEST alone must not discard the durable state it
-   indexed: recovery falls back to the newest loadable checkpoint plus a
-   full WAL replay, and heals the manifest. *)
-let test_corrupt_manifest_falls_back () =
-  with_temp_dir (fun dir ->
-      let store, _ = Store.open_dir ~sync:Wal.Never dir in
-      ignore (Store.log_batch store ~name:"a" ~schema (rows 0));
-      Store.checkpoint store [ ("a", schema, rows 0) ];
-      ignore (Store.log_batch store ~name:"b" ~schema (rows 1));
-      Store.close store;
-      let oc = open_out_bin (Filename.concat dir "MANIFEST") in
-      output_string oc "GARBAGE\nnot a manifest\n";
-      close_out oc;
-      let store, recovered = Store.open_dir ~sync:Wal.Never dir in
-      Alcotest.(check int) "checkpoint found via scan" 1
-        (List.length recovered.Store.rc_tables);
-      Alcotest.(check int) "wal suffix" 1 (List.length recovered.Store.rc_batches);
-      Alcotest.(check int) "seq" 2 recovered.Store.rc_seq;
-      ignore (Store.log_batch store ~name:"c" ~schema (rows 2));
-      Store.close store;
-      (* the manifest was healed: the next boot takes the normal path *)
-      let store, recovered = Store.open_dir ~sync:Wal.Never dir in
-      Store.close store;
-      Alcotest.(check int) "post-heal checkpoint tables" 1
-        (List.length recovered.Store.rc_tables);
-      Alcotest.(check int) "post-heal seq" 3 recovered.Store.rc_seq)
-
 (* ---- store recovery ---- *)
 
 let test_store_reopen () =
@@ -349,6 +322,68 @@ let test_corrupt_checkpoint_skipped () =
       Alcotest.(check int) "wal suffix" 1 (List.length recovered.Store.rc_batches);
       Alcotest.(check int) "seq" 2 recovered.Store.rc_seq)
 
+(* A kill between installing a checkpoint and resetting the WAL leaves a
+   checkpoint that nothing names and WAL records it covers: recovery
+   finds it by scan and skips every covered record. *)
+let test_unnamed_checkpoint_recovered () =
+  with_temp_dir (fun dir ->
+      let store, _ = Store.open_dir ~sync:Wal.Never dir in
+      List.iter (fun g -> ignore (Store.log_batch store ~name:"a" ~schema (rows g))) [ 0; 1; 2 ];
+      Store.close store;
+      Checkpoint.write ~dir ~seq:3 [ ("a", schema, rows 2); ("b", schema, rows 0) ];
+      let store, recovered = Store.open_dir ~sync:Wal.Never dir in
+      Store.close store;
+      Alcotest.(check int) "checkpoint seq" 3 recovered.Store.rc_checkpoint_seq;
+      Alcotest.(check bool) "tables from the checkpoint" true
+        (recovered.Store.rc_tables = [ ("a", schema, rows 2); ("b", schema, rows 0) ]);
+      Alcotest.(check int) "no replayed batches" 0 (List.length recovered.Store.rc_batches);
+      Alcotest.(check int) "seq" 3 recovered.Store.rc_seq)
+
+(* Every wal.fsync hit inside one checkpoint may fail; each failure must
+   leave a store that still logs, and a reopen must recover every logged
+   batch. *)
+let test_failed_checkpoint_keeps_store_usable () =
+  let setup dir =
+    let store, _ = Store.open_dir ~sync:Wal.Always dir in
+    ignore (Store.log_batch store ~name:"a" ~schema (rows 0));
+    store
+  in
+  let ckpt store = Store.checkpoint store [ ("a", schema, rows 0) ] in
+  (* the hits one clean checkpoint makes, counted with a trigger that
+     never fires *)
+  let hits =
+    with_temp_dir (fun dir ->
+        let store = setup dir in
+        Fault.arm ~trigger:(Fault.Nth max_int) "wal.fsync";
+        ckpt store;
+        let n = Fault.hits "wal.fsync" in
+        Fault.disarm_all ();
+        Store.close store;
+        n)
+  in
+  Alcotest.(check bool) "checkpoint reaches wal.fsync" true (hits >= 1);
+  for k = 1 to hits do
+    with_temp_dir (fun dir ->
+        let store = setup dir in
+        Fault.arm ~trigger:(Fault.Nth k) "wal.fsync";
+        (match ckpt store with
+        | exception Fault.Injected _ -> ()
+        | () -> Alcotest.failf "hit %d: expected the checkpoint to fail" k);
+        Fault.disarm_all ();
+        Alcotest.(check int) (Printf.sprintf "hit %d: next log" k) 2
+          (Store.log_batch store ~name:"b" ~schema (rows 1));
+        Store.close store;
+        let store, recovered = Store.open_dir ~sync:Wal.Never dir in
+        Store.close store;
+        let tbl = Hashtbl.create 4 in
+        Store.replay_into recovered (fun ~name ~schema:_ rows -> Hashtbl.replace tbl name rows);
+        Alcotest.(check int) (Printf.sprintf "hit %d: seq" k) 2 recovered.Store.rc_seq;
+        Alcotest.(check bool) (Printf.sprintf "hit %d: a recovered" k) true
+          (Hashtbl.find_opt tbl "a" = Some (rows 0));
+        Alcotest.(check bool) (Printf.sprintf "hit %d: b recovered" k) true
+          (Hashtbl.find_opt tbl "b" = Some (rows 1)))
+  done
+
 (* %012d pads but does not cap: scan must keep recognizing checkpoints
    once the sequence outgrows 12 digits. *)
 let test_checkpoint_filename_width () =
@@ -396,8 +431,10 @@ let () =
           Alcotest.test_case "reopen" `Quick test_store_reopen;
           Alcotest.test_case "checkpoint + wal suffix" `Quick test_checkpoint_and_suffix;
           Alcotest.test_case "corrupt checkpoint skipped" `Quick test_corrupt_checkpoint_skipped;
-          Alcotest.test_case "corrupt manifest falls back" `Quick
-            test_corrupt_manifest_falls_back;
+          Alcotest.test_case "unnamed checkpoint recovered" `Quick
+            test_unnamed_checkpoint_recovered;
+          Alcotest.test_case "failed checkpoint keeps the store usable" `Quick
+            test_failed_checkpoint_keeps_store_usable;
           Alcotest.test_case "checkpoint filename width" `Quick test_checkpoint_filename_width;
         ] );
     ]
