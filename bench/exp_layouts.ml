@@ -8,8 +8,9 @@
                 (popcount / gallop-count / merge-count, nothing
                 materialized);
      chain      a grouped 2-chain — the innermost level streams matches
-                through foreach_inter into the aggregate slots instead of
-                materializing the intersection.
+                with their ranks through foreach_inter_ranked into the
+                aggregate slots instead of materializing the
+                intersection.
 
    Three edge relations pin the three layout regimes of the sets the
    kernels see (Set.choose_layout: dense iff card >= 16 and span <=

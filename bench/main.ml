@@ -58,52 +58,89 @@ let run_ids params ids =
 
 (* ---------------- report: committed cells as markdown ----------------
 
-   The Table II BI block of a baseline record file, read from the records'
+   The Table II blocks of a baseline record file, read from the records'
    [outcome] fields, so EXPERIMENTS.md quotes the committed JSON instead
-   of hand-copied numbers (ci.sh diffs the two). The file holds one scale
-   factor, so each query is one row, in record order. *)
-let report path =
+   of hand-copied numbers (ci.sh diffs the two). One table per block:
+   [table2-bi] (ratio to HyPer-like) and [table2-la] (ratio to the
+   MKL-like kernel). The file holds one scale factor, so each query is
+   one row, in record order. *)
+
+(* "SMV harbor", "DMM 128", ...: the LA query shape and its matrix, read
+   back from the SQL the cell ran ([Queries.smv] / [Queries.smm] over a
+   generated matrix; dense ones are named "dense<n>"). *)
+let la_label sql =
+  let shape matrix =
+    if String.equal sql (Queries.smv ~matrix ~vector:(matrix ^ "_x")) then Some "MV"
+    else if String.equal sql (Queries.smm ~matrix) then Some "MM"
+    else None
+  in
+  let matrix =
+    let rec after_from = function "from" :: m :: _ -> m | _ :: rest -> after_from rest | [] -> "" in
+    after_from (String.split_on_char ' ' sql)
+  in
+  match (shape matrix, Scanf.sscanf_opt matrix "dense%d%!" Fun.id) with
+  | Some k, Some n -> Printf.sprintf "D%s %d" k n
+  | Some k, None -> Printf.sprintf "S%s %s" k matrix
+  | None, _ -> sql
+
+let report_block ~records ~experiment ~systems ~label ~vs =
   let module Json = Lh_obs.Json in
-  let records =
-    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-    | Json.List l -> l
-    | other -> [ other ]
-  in
   let str k r = match Json.member k r with Some (Json.String s) -> s | _ -> "" in
-  let cells = List.filter (fun r -> str "experiment" r = "table2-bi") records in
-  let label r =
-    match List.find_opt (fun (_, sql) -> String.equal sql (str "sql" r)) Queries.tpch with
-    | Some (name, _) -> name
-    | None -> str "sql" r
-  in
+  let cells = List.filter (fun r -> str "experiment" r = experiment) records in
   let systems =
-    List.map C.system_name Exp_table2.bi_systems
+    List.map C.system_name systems
     |> List.filter (fun s -> List.exists (fun r -> str "system" r = s) cells)
   in
   let cell = Hashtbl.create 64 and rows = ref [] in
   List.iter
     (fun r ->
-      let name = label r and system = str "system" r in
+      let name = label (str "sql" r) and system = str "system" r in
       if Hashtbl.mem cell (name, system) then
         failwith (Printf.sprintf "--report: %s on %s appears twice; use one scale factor" name system);
       if not (List.mem name !rows) then rows := name :: !rows;
       Hashtbl.replace cell (name, system) r)
     cells;
   let seconds r = Option.bind (Json.member "seconds" r) Json.to_float in
-  let lh = C.system_name C.Lh and hy = C.system_name C.Hyper_like in
-  Printf.printf "| query | %s | %s ÷ %s |\n" (String.concat " | " systems) lh hy;
+  let lh = C.system_name C.Lh and vs = C.system_name vs in
+  Printf.printf "| query | %s | %s ÷ %s |\n" (String.concat " | " systems) lh vs;
   Printf.printf "|---|%s---|\n" (String.concat "" (List.map (fun _ -> "---|") systems));
   List.iter
     (fun name ->
       let find s = Hashtbl.find_opt cell (name, s) in
       let outcome s = match find s with Some r -> str "outcome" r | None -> "-" in
       let ratio =
-        match (Option.bind (find lh) seconds, Option.bind (find hy) seconds) with
+        match (Option.bind (find lh) seconds, Option.bind (find vs) seconds) with
         | Some a, Some b when b > 0.0 -> Printf.sprintf "%.2fx" (a /. b)
         | _ -> "-"
       in
       Printf.printf "| %s | %s | %s |\n" name (String.concat " | " (List.map outcome systems)) ratio)
     (List.rev !rows)
+
+(* [ids] picks the blocks, in order; none means the BI block. *)
+let report ~ids path =
+  let module Json = Lh_obs.Json in
+  let records =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Json.List l -> l
+    | other -> [ other ]
+  in
+  let tpch_label sql =
+    match List.find_opt (fun (_, q) -> String.equal q sql) Queries.tpch with
+    | Some (name, _) -> name
+    | None -> sql
+  in
+  List.iteri
+    (fun i id ->
+      if i > 0 then print_newline ();
+      match id with
+      | "table2-bi" ->
+          report_block ~records ~experiment:id ~systems:Exp_table2.bi_systems ~label:tpch_label
+            ~vs:C.Hyper_like
+      | "table2-la" ->
+          report_block ~records ~experiment:id ~systems:Exp_table2.la_systems ~label:la_label
+            ~vs:C.Mkl_like
+      | other -> failwith (Printf.sprintf "--report renders table2-bi and table2-la, not %s" other))
+    (if ids = [] then [ "table2-bi" ] else ids)
 
 (* ---------------- smoke: one query per experiment family, telemetry on,
    fail if any expected counter is absent (CI wiring: see ci.sh) -------- *)
@@ -608,8 +645,9 @@ let slowdown_arg =
 
 let report_arg =
   let doc =
-    "Print the Table II BI cells of the record file $(docv) (a --json baseline) as a markdown \
-     table and exit; EXPERIMENTS.md's generated subsection is this output."
+    "Print the Table II cells of the record file $(docv) (a --json baseline) as markdown tables \
+     and exit: the BI block by default, or one table per EXPERIMENT given (table2-bi, \
+     table2-la). EXPERIMENTS.md's generated subsections are this output."
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"BASELINE" ~doc)
 
@@ -656,10 +694,10 @@ let main ids sf la_scale dense runs timeout mem_words seed domains concurrency j
   if run_smoke then exit (smoke params);
   Option.iter
     (fun path ->
-      match report path with
+      match report ~ids path with
       | () -> exit 0
-      | exception (Sys_error msg | Lh_obs.Json.Parse_error msg) ->
-          Printf.eprintf "cannot load %s: %s\n" path msg;
+      | exception (Sys_error msg | Lh_obs.Json.Parse_error msg | Failure msg) ->
+          Printf.eprintf "cannot report %s: %s\n" path msg;
           exit 2)
     report_path;
   (* Pure file-vs-file comparison: no experiments run. *)

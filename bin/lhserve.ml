@@ -122,10 +122,17 @@ let session_of st id =
 
 let print_result (t : Table.t) epoch =
   respond "ok epoch %d rows %d" epoch t.Table.nrows;
+  let encode = Table.row_encoder t in
+  let buf = Buffer.create 4096 in
   for r = 0 to t.Table.nrows - 1 do
-    print_string (Format.asprintf "%a" (fun fmt () -> Table.pp_row fmt t r) ());
-    print_char '\n'
+    encode buf r;
+    Buffer.add_char buf '\n';
+    if Buffer.length buf >= 65536 then begin
+      Buffer.output_buffer stdout buf;
+      Buffer.clear buf
+    end
   done;
+  Buffer.output_buffer stdout buf;
   flush stdout
 
 let handle st line =

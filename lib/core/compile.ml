@@ -204,8 +204,9 @@ module Leaf = struct
         (** the innermost position only contributes a factor n (the
             intersection cardinality): never materialize nor iterate it *)
     | Stream
-        (** stream innermost matches through [Intersect.foreach_inter]
-            straight into leaf aggregation *)
+        (** stream innermost matches, with their ranks, through
+            [Intersect.foreach_inter_ranked] straight into leaf
+            aggregation *)
 
   let mode_to_string = function Count -> "count" | Stream -> "stream"
 

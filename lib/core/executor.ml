@@ -415,8 +415,14 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
   done;
   let budget = cfg.Config.budget in
 
+  (* Every slot folds in (+,×) — plain SUM/COUNT queries and all the LA
+     kernels: the leaf then multiplies and adds with [*.]/[+.] directly
+     instead of calling the per-slot closures. Same operations in the same
+     order as the generic path, so results are bit-identical. *)
+  let sp = Array.for_all Semiring.is_sum_product input.srs_x in
+
   (* --- leaf combinators ------------------------------------------- *)
-  let emit_combo ctx fold =
+  let emit_combo_generic ctx fold =
     for j = 0 to nslots - 1 do
       let p = ref input.coeffs_x.(j) in
       let reps = ref 1.0 in
@@ -449,6 +455,21 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
     done;
     fold ctx
   in
+  (* The same product in (+,×): a non-owner's repetition is (+,×)'s Scale
+     law, one more multiply. *)
+  let emit_combo_sp ctx fold =
+    for j = 0 to nslots - 1 do
+      let p = ref input.coeffs_x.(j) in
+      for ri = 0 to nrels - 1 do
+        let g = ctx.picked.(ri) in
+        let local = input.rels.(ri).xslot.(j) in
+        if local >= 0 then p := !p *. g.Trie.vec.(local) else p := !p *. g.Trie.mult
+      done;
+      ctx.scratch.(j) <- !p
+    done;
+    fold ctx
+  in
+  let emit_combo = if sp then emit_combo_sp else emit_combo_generic in
   let rec combos ctx ri fold =
     if ri = nrels then emit_combo ctx fold
     else
@@ -497,20 +518,26 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
   in
 
   (* fold functions per path *)
+  (* acc.(j) <- acc.(j) ⊕ x.(j) for every slot. *)
+  let fold_slots acc x =
+    if sp then
+      for j = 0 to nslots - 1 do
+        acc.(j) <- acc.(j) +. x.(j)
+      done
+    else
+      for j = 0 to nslots - 1 do
+        acc.(j) <- input.adds_x.(j) acc.(j) x.(j)
+      done
+  in
   let fold_hash ctx =
     let key = build_key ctx in
     match Hashtbl.find_opt ctx.hash key with
-    | Some acc ->
-        for j = 0 to nslots - 1 do
-          acc.(j) <- input.adds_x.(j) acc.(j) ctx.scratch.(j)
-        done
+    | Some acc -> fold_slots acc ctx.scratch
     | None -> Hashtbl.replace ctx.hash key (Array.copy ctx.scratch)
   in
   let fold_sorted ctx =
     ctx.touched <- true;
-    for j = 0 to nslots - 1 do
-      ctx.accum.(j) <- input.adds_x.(j) ctx.accum.(j) ctx.scratch.(j)
-    done
+    fold_slots ctx.accum ctx.scratch
   in
   let fold_spa ctx =
     let v = ctx.vals.(npos - 1) in
@@ -521,20 +548,32 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         ctx.spa.(j).(v) <- input.zeros_x.(j)
       done
     end;
-    for j = 0 to nslots - 1 do
-      ctx.spa.(j).(v) <- input.adds_x.(j) ctx.spa.(j).(v) ctx.scratch.(j)
-    done
+    if sp then
+      for j = 0 to nslots - 1 do
+        let col = ctx.spa.(j) in
+        col.(v) <- col.(v) +. ctx.scratch.(j)
+      done
+    else
+      for j = 0 to nslots - 1 do
+        ctx.spa.(j).(v) <- input.adds_x.(j) ctx.spa.(j).(v) ctx.scratch.(j)
+      done
   in
 
   (* --- descent ------------------------------------------------------ *)
+  (* Relation [ri] at its level [l] (node [node]) takes the value of sorted
+     position [rank]: its last level yields the leaf groups, any other the
+     child node for the next level. *)
+  let install ctx ri l last (node : Trie.node) rank =
+    if last then ctx.cur_groups.(ri) <- Array.unsafe_get node.Trie.groups rank
+    else ctx.stacks.(ri).(l + 1) <- Array.unsafe_get node.Trie.children rank
+  in
+  (* A buffered or n-way position only has the value: search each rank. *)
   let advance ctx pos v =
     let rs = parts.(pos) and ls = plevel.(pos) and lasts = plast.(pos) in
     for k = 0 to Array.length rs - 1 do
       let ri = rs.(k) and l = ls.(k) in
       let node = ctx.stacks.(ri).(l) in
-      let rank = Set_.rank node.Trie.set v in
-      if lasts.(k) then ctx.cur_groups.(ri) <- node.Trie.groups.(rank)
-      else ctx.stacks.(ri).(l + 1) <- node.Trie.children.(rank)
+      install ctx ri l lasts.(k) node (Set_.rank node.Trie.set v)
     done
   in
 
@@ -557,9 +596,11 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
   let fold_counted ctx =
     let nf = ctx.count_n in
     for j = 0 to nslots - 1 do
-      match input.scales_x.(j) with
-      | Some f -> ctx.scratch.(j) <- f ctx.scratch.(j) nf
-      | None -> ()
+      if sp then ctx.scratch.(j) <- ctx.scratch.(j) *. nf
+      else
+        match input.scales_x.(j) with
+        | Some f -> ctx.scratch.(j) <- f ctx.scratch.(j) nf
+        | None -> ()
     done;
     fold_for_leaf ctx
   in
@@ -665,24 +706,25 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
       Set_.iteri
         (fun rank v ->
           ctx.vals.(pos) <- v;
-          if last then ctx.cur_groups.(ri) <- Array.unsafe_get node.Trie.groups rank
-          else ctx.stacks.(ri).(l + 1) <- Array.unsafe_get node.Trie.children rank;
+          install ctx ri l last node rank;
           walk ctx (pos + 1))
         node.Trie.set
     end
     else if pos = npos - 1 && Array.length parts.(pos) = 2 then begin
       (* Innermost two-way intersection: stream matches straight into leaf
-         aggregation without touching a buffer. *)
+         aggregation without touching a buffer, each with its rank in both
+         sets, so no rank is searched back. *)
       ctx.isects <- ctx.isects + 1;
-      let rs = parts.(pos) and ls = plevel.(pos) in
-      let a = ctx.stacks.(rs.(0)).(ls.(0)).Trie.set in
-      let b = ctx.stacks.(rs.(1)).(ls.(1)).Trie.set in
-      Intersect.foreach_inter
-        (fun v ->
+      let rs = parts.(pos) and ls = plevel.(pos) and lasts = plast.(pos) in
+      let ra = rs.(0) and la = ls.(0) and rb = rs.(1) and lb = ls.(1) in
+      let na = ctx.stacks.(ra).(la) and nb = ctx.stacks.(rb).(lb) in
+      Intersect.foreach_inter_ranked
+        (fun v ia ib ->
           ctx.vals.(pos) <- v;
-          advance ctx pos v;
+          install ctx ra la lasts.(0) na ia;
+          install ctx rb lb lasts.(1) nb ib;
           walk ctx (pos + 1))
-        a b
+        na.Trie.set nb.Trie.set
     end
     else begin
       (* Interior (or n-ary innermost) position: intersect into the
@@ -733,10 +775,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
         Hashtbl.iter
           (fun k v ->
             match Hashtbl.find_opt a.hash k with
-            | Some acc ->
-                for j = 0 to nslots - 1 do
-                  acc.(j) <- input.adds_x.(j) acc.(j) v.(j)
-                done
+            | Some acc -> fold_slots acc v
             | None -> Hashtbl.replace a.hash k v)
           b.hash
     | Some 0, false ->
@@ -784,8 +823,7 @@ let exec_bag (cfg : Config.t) (input : bag_input) : row list =
           ( Array.length values,
             (fun ctx i ->
               ctx.vals.(0) <- Array.unsafe_get values i;
-              if last then ctx.cur_groups.(ri) <- Array.unsafe_get node.Trie.groups i
-              else ctx.stacks.(ri).(1) <- Array.unsafe_get node.Trie.children i;
+              install ctx ri 0 last node i;
               walk ctx 1),
             0 )
       | _ ->

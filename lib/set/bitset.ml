@@ -27,9 +27,28 @@ let create ~offset ~nbits =
     rank_cache = [||];
   }
 
+(* SWAR popcount of a 63-bit word: 2-, 4- then 8-bit partial sums, and
+   one multiply gathers the byte sums into the top byte. The masks are the
+   64-bit ones read as 63-bit ints; bit 62 sits alone in the top 2-bit
+   field and lands in the top nibble through [lsr 2], so it is counted. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+(* The one word walk: [f] sees every set bit of [w], lowest first, as the
+   bit index plus [base] — one step per member. [lowest_bit] isolates the
+   lowest set bit ([w land -w]) and popcounts the bits below it; clearing
+   it ([w land (w - 1)]) moves to the next member. *)
+let lowest_bit w = popcount ((w land -w) - 1)
+
+let iter_word f base w =
+  let w = ref w in
+  while !w <> 0 do
+    f (base + lowest_bit !w);
+    w := !w land (!w - 1)
+  done
 
 let add t v =
   let idx = v - t.offset in
@@ -57,26 +76,10 @@ let mem t v =
 let cardinality t = t.card
 
 let iter f t =
-  let base = t.offset in
   let words = t.words in
   for wi = 0 to Array.length words - 1 do
     let w = words.(wi) in
-    if w <> 0 then begin
-      let v0 = base + (wi * word_bits) in
-      let w = ref w and b = ref 0 in
-      while !w <> 0 do
-        (* Skip zero bytes to avoid 63 single-bit steps on sparse words. *)
-        if !w land 0xFF = 0 then begin
-          w := !w lsr 8;
-          b := !b + 8
-        end
-        else begin
-          if !w land 1 = 1 then f (v0 + !b);
-          w := !w lsr 1;
-          incr b
-        end
-      done
-    end
+    if w <> 0 then iter_word f (t.offset + (wi * word_bits)) w
   done
 
 let to_sorted_array t =
@@ -150,8 +153,7 @@ let inter_uint_count t arr =
   !c
 
 (* Streams the members of the AND to [f] in increasing order without
-   materializing anything: AND one word pair at a time, then the same
-   byte-skipping bit peel as [iter]. *)
+   materializing anything: AND one word pair at a time, then [iter_word]. *)
 let iter_inter f a b =
   let lo_w = max (word_offset a) (word_offset b) in
   let hi_w = min (word_offset a + Array.length a.words) (word_offset b + Array.length b.words) in
@@ -160,21 +162,7 @@ let iter_inter f a b =
     let ao = lo_w - word_offset a and bo = lo_w - word_offset b in
     for i = 0 to hi_w - lo_w - 1 do
       let w = aw.(ao + i) land bw.(bo + i) in
-      if w <> 0 then begin
-        let v0 = (lo_w + i) * word_bits in
-        let w = ref w and b = ref 0 in
-        while !w <> 0 do
-          if !w land 0xFF = 0 then begin
-            w := !w lsr 8;
-            b := !b + 8
-          end
-          else begin
-            if !w land 1 = 1 then f (v0 + !b);
-            w := !w lsr 1;
-            incr b
-          end
-        done
-      end
+      if w <> 0 then iter_word f ((lo_w + i) * word_bits) w
     done
   end
 
@@ -220,9 +208,33 @@ let rank t v =
   let cache = ensure_rank_cache t in
   cache.(w) + popcount (word land ((1 lsl b) - 1))
 
+(* [iter_inter] with ranks: [f v rank_a rank_b], each rank the operand's
+   per-word prefix count plus the popcount of its own word below [v]'s bit,
+   so the caller never searches a rank back. *)
+let iter_inter_ranked f a b =
+  let lo_w = max (word_offset a) (word_offset b) in
+  let hi_w = min (word_offset a + Array.length a.words) (word_offset b + Array.length b.words) in
+  if hi_w > lo_w then begin
+    let ca = ensure_rank_cache a and cb = ensure_rank_cache b in
+    let aw = a.words and bw = b.words in
+    let ao = lo_w - word_offset a and bo = lo_w - word_offset b in
+    for i = 0 to hi_w - lo_w - 1 do
+      let x = aw.(ao + i) and y = bw.(bo + i) in
+      if x land y <> 0 then begin
+        let v0 = (lo_w + i) * word_bits and ra = ca.(ao + i) and rb = cb.(bo + i) in
+        let w = ref (x land y) in
+        while !w <> 0 do
+          let below = (!w land - !w) - 1 in
+          f (v0 + popcount below) (ra + popcount (x land below)) (rb + popcount (y land below));
+          w := !w land (!w - 1)
+        done
+      end
+    done
+  end
+
 (* Inverse of [rank]: the i-th member in sorted order. Binary search over
-   the per-word prefix popcounts for the containing word, then peel the
-   word byte-by-byte — never the one-bit-per-step scan [iter] does. *)
+   the per-word prefix popcounts for the containing word, then clear the
+   word's lower members one step each and take the lowest set bit left. *)
 let select t i =
   if i < 0 || i >= t.card then invalid_arg "Bitset.select: out of bounds";
   let cache = ensure_rank_cache t in
@@ -233,19 +245,8 @@ let select t i =
     if cache.(mid) <= i then lo := mid else hi := mid - 1
   done;
   let w = !lo in
-  let remaining = ref (i - cache.(w)) in
-  let word = ref t.words.(w) and b = ref 0 in
-  (* Skip whole bytes by popcount, then single bits within the byte. *)
-  while popcount (!word land 0xFF) <= !remaining do
-    remaining := !remaining - popcount (!word land 0xFF);
-    word := !word lsr 8;
-    b := !b + 8
+  let word = ref t.words.(w) in
+  for _ = 1 to i - cache.(w) do
+    word := !word land (!word - 1)
   done;
-  while
-    (!word land 1 = 0) || !remaining > 0
-  do
-    if !word land 1 = 1 then decr remaining;
-    word := !word lsr 1;
-    incr b
-  done;
-  t.offset + (w * word_bits) + !b
+  t.offset + (w * word_bits) + lowest_bit !word

@@ -33,7 +33,8 @@ val mem : t -> int -> bool
 val cardinality : t -> int
 
 val iter : (int -> unit) -> t -> unit
-(** Visits members in increasing order. *)
+(** Visits members in increasing order, one step per member: each word is
+    walked by extracting its lowest set bit, never bit by bit. *)
 
 val to_sorted_array : t -> int array
 
@@ -62,10 +63,16 @@ val iter_inter : (int -> unit) -> t -> t -> unit
 (** Streams the members of the word-wise AND to the closure in increasing
     order without materializing the result set. *)
 
+val iter_inter_ranked : (int -> int -> int -> unit) -> t -> t -> unit
+(** [iter_inter_ranked f a b] is {!iter_inter} with ranks: [f v rank_a
+    rank_b], where [rank_x] is {!rank}[ x v], read off the per-word prefix
+    index plus one popcount of the operand's word below [v]. *)
+
 val union : t -> t -> t
 
 val popcount : int -> int
-(** Number of set bits in an int. *)
+(** Number of set bits in an int, all 63 counted (so [popcount (-1) = 63]):
+    a branch-free SWAR sum, constant time whatever the bit count. *)
 
 val rank : t -> int -> int
 (** [rank t v] is the number of members strictly below [v], i.e. the sorted
@@ -75,6 +82,7 @@ val rank : t -> int -> int
 val select : t -> int -> int
 (** [select t i] is the [i]-th member in sorted order (0-based) — the
     inverse of {!rank}. Binary search over the same lazily-built per-word
-    prefix index as {!rank}, then a byte-skipping scan inside the one
-    containing word: O(log words), never a full iteration. Raises
+    prefix index as {!rank}, then inside the containing word the lower
+    members are cleared one step each and the lowest set bit left is the
+    answer: O(log words), never a full iteration. Raises
     [Invalid_argument] unless [0 <= i < cardinality t]. *)

@@ -3,8 +3,8 @@ module Obs = Lh_obs.Obs
 module Fault = Lh_fault.Fault
 
 (* Per-layout-pair kernel invocation counts (bs∩bs, bs∩uint, uint∩uint);
-   every specialized entry point below — inter_into, count, foreach_inter —
-   ticks exactly one of them per call. *)
+   every specialized entry point below — inter_into, count,
+   foreach_inter_ranked — ticks exactly one of them per call. *)
 let c_bb = Obs.counter "set.inter.bb"
 let c_bu = Obs.counter "set.inter.bu"
 let c_uu = Obs.counter "set.inter.uu"
@@ -107,17 +107,26 @@ let uint_uint_count_n a la b lb =
     !c
   end
 
-(* uint∩uint streamed to a closure in increasing order. *)
-let uint_uint_foreach f a b =
+(* uint∩uint streamed to [f v i j] in increasing order, [i] and [j] the
+   match's indices in [a] and [b] (its ranks). Gallops through the larger
+   side from each element of the smaller one, whichever side that is. *)
+let uint_uint_foreach_ranked f a b =
   let la = Array.length a and lb = Array.length b in
   if la > 0 && lb > 0 then begin
-    let a, la, b, lb = if la <= lb then (a, la, b, lb) else (b, lb, a, la) in
     if la * gallop_ratio < lb then begin
       let j = ref 0 in
       for i = 0 to la - 1 do
         let v = a.(i) in
         j := gallop_lower_bound_n b lb !j v;
-        if !j < lb && b.(!j) = v then f v
+        if !j < lb && b.(!j) = v then f v i !j
+      done
+    end
+    else if lb * gallop_ratio < la then begin
+      let i = ref 0 in
+      for j = 0 to lb - 1 do
+        let v = b.(j) in
+        i := gallop_lower_bound_n a la !i v;
+        if !i < la && a.(!i) = v then f v !i j
       done
     end
     else begin
@@ -127,7 +136,7 @@ let uint_uint_foreach f a b =
         if x < y then incr i
         else if y < x then incr j
         else begin
-          f x;
+          f x !i !j;
           incr i;
           incr j
         end
@@ -175,17 +184,29 @@ let count a b =
       Obs.incr c_uu;
       uint_uint_count_n x (Array.length x) y (Array.length y)
 
-let foreach_inter f a b =
+(* bs∩uint streamed with ranks: the uint side's index is its rank, and
+   the bitset's comes from its prefix index, only for members. *)
+let bits_uint_foreach_ranked f x y ~uint_first =
+  for j = 0 to Array.length y - 1 do
+    let v = y.(j) in
+    if Bitset.mem x v then
+      if uint_first then f v j (Bitset.rank x v) else f v (Bitset.rank x v) j
+  done
+
+let foreach_inter_ranked f a b =
   match (a, b) with
   | Set.Bs x, Set.Bs y ->
       Obs.incr c_bb;
-      Bitset.iter_inter f x y
-  | Set.Bs x, Set.Uint y | Set.Uint y, Set.Bs x ->
+      Bitset.iter_inter_ranked f x y
+  | Set.Bs x, Set.Uint y ->
       Obs.incr c_bu;
-      Array.iter (fun v -> if Bitset.mem x v then f v) y
+      bits_uint_foreach_ranked f x y ~uint_first:false
+  | Set.Uint y, Set.Bs x ->
+      Obs.incr c_bu;
+      bits_uint_foreach_ranked f x y ~uint_first:true
   | Set.Uint x, Set.Uint y ->
       Obs.incr c_uu;
-      uint_uint_foreach f x y
+      uint_uint_foreach_ranked f x y
 
 (* ---------------- buffered kernels ----------------
 

@@ -7,8 +7,9 @@
     entry points are monomorphic per layout pair and never allocate on the
     hot path: {!inter_into}/{!inter_many_into} write into caller-provided
     reusable buffers, {!count} popcounts / gallop-counts / merge-counts
-    without building the result, and {!foreach_inter} streams matches to a
-    closure for leaf aggregation. Each call ticks one of the
+    without building the result, and {!foreach_inter_ranked} streams
+    matches, each with its rank in both operands, to a closure for leaf
+    aggregation. Each call ticks one of the
     [set.inter.{bb,bu,uu}] telemetry counters, and the buffered kernels
     probe the [set.inter_into] fault site between clearing and filling the
     buffer. *)
@@ -37,9 +38,14 @@ val count : Set.t -> Set.t -> int
     pair: word-parallel popcount of the AND for bs∩bs, membership-probe
     count for bs∩uint, merge/gallop count for uint∩uint. *)
 
-val foreach_inter : (int -> unit) -> Set.t -> Set.t -> unit
-(** Streams the members of the intersection to the closure in increasing
-    order without materializing the result set. *)
+val foreach_inter_ranked : (int -> int -> int -> unit) -> Set.t -> Set.t -> unit
+(** [foreach_inter_ranked f a b] streams the members of [a ∩ b] to [f v
+    rank_a rank_b] in increasing order without materializing the result
+    set, where [rank_x] is [Set.rank x v] — the index that addresses [v]'s
+    trie children. The ranks fall out of the kernel: bs∩bs adds the
+    per-word prefix count to one popcount below the bit, bs∩uint takes
+    the uint index plus {!Bitset.rank} on the bitset, and uint∩uint reports
+    its merge (or gallop) indices, galloping from the smaller side. *)
 
 val inter_into : Lh_util.Vec.Int.t -> Set.t -> Set.t -> unit
 (** [inter_into buf a b] clears [buf] and fills it with the sorted values

@@ -42,8 +42,8 @@ val to_array : t -> int array
 
 val rank : t -> int -> int
 (** [rank s v] is the sorted position of [v] in [s]; raises [Not_found]
-    when absent. Constant-ish time for [Uint] (binary search); for [Bs] it
-    is O(words) and used only on cold paths. *)
+    when absent. A binary search for [Uint]; constant time for [Bs] after
+    the bitset's lazily built per-word prefix index ({!Bitset.rank}). *)
 
 val nth : t -> int -> int
 (** [nth s i] is the value at sorted position [i]. *)

@@ -13,9 +13,16 @@ let of_string s =
 
 let value_type = function VInt _ -> Int | VFloat _ -> Float | VString _ -> String | VDate _ -> Date
 
+(* The C primitive behind Printf's float conversions: [Printf.sprintf
+   "%.6g"] hands its value straight to it, so the bytes are the same
+   without the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_to_string f = format_float "%.6g" f
+
 let value_to_string = function
   | VInt i -> string_of_int i
-  | VFloat f -> Printf.sprintf "%.6g" f
+  | VFloat f -> float_to_string f
   | VString s -> s
   | VDate d -> Date.to_string d
 
@@ -32,5 +39,3 @@ let numeric = function
   | VFloat f -> f
   | VDate d -> float_of_int d
   | VString s -> failwith (Printf.sprintf "Dtype.numeric: string value %S" s)
-
-let pp_value fmt v = Format.pp_print_string fmt (value_to_string v)

@@ -13,10 +13,16 @@ val of_string : string -> t
     [date]. Raises [Failure] on anything else. *)
 
 val value_type : value -> t
+
 val value_to_string : value -> string
+(** Ints in decimal, floats as {!float_to_string}, strings verbatim, dates
+    as [YYYY-MM-DD]. *)
+
+val float_to_string : float -> string
+(** The [%.6g] rendering, byte for byte what [Printf.sprintf "%.6g"]
+    prints (same C primitive, without the format interpreter). *)
+
 val value_equal : value -> value -> bool
 
 val numeric : value -> float
 (** [VInt]/[VFloat]/[VDate] as a float; raises [Failure] on strings. *)
-
-val pp_value : Format.formatter -> value -> unit

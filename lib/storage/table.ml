@@ -226,8 +226,27 @@ let to_rows t =
   List.init t.nrows (fun row ->
       List.init (Schema.ncols t.schema) (fun col -> value t ~row ~col))
 
+(* The cell writer of each column is chosen once, from its type: the
+   per-row work is then a closure call and a string append per cell, with
+   no value boxed and no format interpreted. *)
+let row_encoder t =
+  let cell col =
+    match (t.cols.(col), (Schema.col t.schema col).Schema.dtype) with
+    | Fcol a, _ -> fun buf row -> Buffer.add_string buf (Dtype.float_to_string a.(row))
+    | Icol a, Dtype.Int -> fun buf row -> Buffer.add_string buf (string_of_int a.(row))
+    | Icol _, (Dtype.String | Dtype.Date) ->
+        fun buf row -> Buffer.add_string buf (Dtype.value_to_string (value t ~row ~col))
+    | Icol _, Dtype.Float -> assert false
+  in
+  let cells = Array.init (Schema.ncols t.schema) cell in
+  fun buf row ->
+    Array.iteri
+      (fun col enc ->
+        if col > 0 then Buffer.add_char buf '|';
+        enc buf row)
+      cells
+
 let pp_row fmt t row =
-  for col = 0 to Schema.ncols t.schema - 1 do
-    if col > 0 then Format.fprintf fmt "|";
-    Dtype.pp_value fmt (value t ~row ~col)
-  done
+  let buf = Buffer.create 64 in
+  row_encoder t buf row;
+  Format.pp_print_string fmt (Buffer.contents buf)

@@ -58,4 +58,13 @@ val encode_const : t -> int -> Dtype.value -> int option
     [Failure] on type mismatch or float columns. *)
 
 val to_rows : t -> Dtype.value list list
+val row_encoder : t -> Buffer.t -> int -> unit
+(** [row_encoder t] picks one cell writer per column, once; applied to a
+    buffer and a row index it appends that row's cells, ['|']-separated and
+    without a newline: ints by [string_of_int], floats by
+    {!Dtype.float_to_string}, strings and dates by
+    {!Dtype.value_to_string}. Build it once per result, then call it per
+    row. *)
+
 val pp_row : Format.formatter -> t -> int -> unit
+(** One row in {!row_encoder}'s format. *)

@@ -44,7 +44,64 @@ let test_bitset_rank () =
 let test_bitset_popcount () =
   Alcotest.(check int) "zero" 0 (Bitset.popcount 0);
   Alcotest.(check int) "255" 8 (Bitset.popcount 255);
-  Alcotest.(check int) "max_int" 62 (Bitset.popcount max_int)
+  Alcotest.(check int) "max_int" 62 (Bitset.popcount max_int);
+  (* bit 62 is the int's sign bit: min_int is that bit alone *)
+  Alcotest.(check int) "min_int" 1 (Bitset.popcount min_int);
+  Alcotest.(check int) "-1" 63 (Bitset.popcount (-1));
+  Alcotest.(check int) "min_int lor 1" 2 (Bitset.popcount (min_int lor 1))
+
+(* One loop step per set bit; terminates on negative words too, since
+   [x land (x - 1)] clears bit 62 like any other. *)
+let kernighan x =
+  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+  go x 0
+
+let qcheck_popcount_kernighan =
+  Helpers.qtest "SWAR popcount = Kernighan reference" ~count:1000
+    QCheck2.Gen.(
+      oneof
+        [
+          int;
+          map (fun x -> x lor min_int) int;
+          map (fun x -> x land max_int) int;
+          map (fun b -> 1 lsl b) (int_range 0 62);
+        ])
+    (fun x -> Bitset.popcount x = kernighan x)
+
+(* Value [offset + 62] — the top bit (bit 62, the sign bit) of a word — is
+   a member in several words; every word walk must return it. *)
+let test_bitset_top_bit () =
+  let wb = Bitset.word_bits in
+  let b = Bitset.create ~offset:(2 * wb) ~nbits:(5 * wb) in
+  let vals =
+    List.concat_map
+      (fun w ->
+        let base = (2 + w) * wb in
+        if w = 2 then [ base + 62 ] else [ base; base + 61; base + 62 ])
+      [ 0; 1; 2; 3; 4 ]
+  in
+  List.iter (Bitset.add b) vals;
+  let vals = Array.of_list vals in
+  let collect walk =
+    let acc = ref [] in
+    walk (fun v -> acc := v :: !acc);
+    Array.of_list (List.rev !acc)
+  in
+  Alcotest.(check (array int)) "iter" vals (collect (fun f -> Bitset.iter f b));
+  Alcotest.(check (array int)) "iter_inter" vals (collect (fun f -> Bitset.iter_inter f b b));
+  Alcotest.(check (array int)) "Set.iteri values" vals
+    (collect (fun f -> Set_.iteri (fun _ v -> f v) (Set_.of_bitset b)));
+  Set_.iteri (fun i v -> Alcotest.(check int) (Printf.sprintf "iteri rank of %d" v) i (Bitset.rank b v))
+    (Set_.of_bitset b);
+  Array.iteri
+    (fun i v -> Alcotest.(check int) (Printf.sprintf "select %d" i) v (Bitset.select b i))
+    vals;
+  Bitset.iter_inter_ranked
+    (fun v ra rb ->
+      Alcotest.(check int) (Printf.sprintf "ranked rank_a of %d" v) (Bitset.rank b v) ra;
+      Alcotest.(check int) (Printf.sprintf "ranked rank_b of %d" v) (Bitset.rank b v) rb)
+    b b;
+  Alcotest.(check int) "cardinality of AND" (Array.length vals) (Bitset.inter_count b b)
 
 let qcheck_bitset_inter =
   Helpers.qtest "bitset inter = model"
@@ -238,6 +295,8 @@ let () =
           Alcotest.test_case "rank" `Quick test_bitset_rank;
           Alcotest.test_case "select" `Quick test_bitset_select;
           Alcotest.test_case "popcount" `Quick test_bitset_popcount;
+          qcheck_popcount_kernighan;
+          Alcotest.test_case "bit 62 in every word walk" `Quick test_bitset_top_bit;
           qcheck_bitset_inter;
           qcheck_bitset_union;
           qcheck_bitset_rank_all;

@@ -1,7 +1,7 @@
 (* Differential property suite for the layout-specialized set kernels.
 
    Every specialized entry point — of_array, inter, inter_into, count,
-   foreach_inter, inter_many(_into), union, rank/nth, filter_range — is
+   foreach_inter_ranked, inter_many(_into), union, rank/nth, filter_range — is
    checked against a naive sorted-list model, over every forced layout
    pair (uint/uint, bs/uint, bs/bs) as well as the density-rule choice.
    Generators are biased toward the places kernels break: cardinality and
@@ -108,12 +108,54 @@ let qcheck_count =
     (fun ((a, sa), (b, sb)) ->
       Intersect.count sa sb = Array.length (model_inter a b))
 
-let qcheck_foreach =
-  Helpers.qtest "foreach_inter streams the model in order" pair_gen
-    (fun ((a, sa), (b, sb)) ->
-      let acc = ref [] in
-      Intersect.foreach_inter (fun v -> acc := v :: !acc) sa sb;
-      Array.of_list (List.rev !acc) = model_inter a b)
+(* The ranked stream must be the model, in order, and every member must
+   carry its sorted position in each operand (the index the executor
+   installs trie children from). *)
+let ranked_streams_model sa sb a b =
+  let acc = ref [] and ranks_ok = ref true in
+  Intersect.foreach_inter_ranked
+    (fun v ra rb ->
+      acc := v :: !acc;
+      if ra <> Set_.rank sa v || rb <> Set_.rank sb v then ranks_ok := false)
+    sa sb;
+  !ranks_ok && Array.of_list (List.rev !acc) = model_inter a b
+
+let forced_layouts = [ Set_.Sparse; Set_.Dense ]
+
+(* Every forced layout pair, both operand orders. *)
+let ranked_all_layouts a b =
+  List.for_all
+    (fun la ->
+      List.for_all
+        (fun lb ->
+          let sa = Set_.of_sorted_array ~layout:la a and sb = Set_.of_sorted_array ~layout:lb b in
+          ranked_streams_model sa sb a b && ranked_streams_model sb sa b a)
+        forced_layouts)
+    forced_layouts
+
+let qcheck_foreach_ranked =
+  Helpers.qtest "foreach_inter_ranked = model, both ranks"
+    QCheck2.Gen.(pair arr_gen arr_gen)
+    (fun (a, b) -> ranked_all_layouts a b)
+
+(* One side more than 16x the other (Intersect's gallop ratio), so the
+   uint∩uint kernel gallops; both orders put the small side first once and
+   second once, covering both gallop directions. *)
+let skewed_gen =
+  QCheck2.Gen.(
+    let* big = list_size (int_range 340 500) (int_range 0 3000) in
+    let big = uniq big in
+    let* picks =
+      list_size (int_range 1 ((Array.length big / 16) - 4)) (int_range 0 (Array.length big - 1))
+    in
+    let* strays = list_size (int_range 0 3) (int_range 0 3000) in
+    let small = uniq (List.map (fun i -> big.(i)) picks @ strays) in
+    return (small, big))
+
+let qcheck_foreach_ranked_gallop =
+  Helpers.qtest "foreach_inter_ranked ranks, galloping" skewed_gen
+    (fun (small, big) ->
+      Array.length small * 16 < Array.length big && ranked_all_layouts small big)
 
 let qcheck_inter_into =
   Helpers.qtest "inter_into fills the buffer with the model" pair_gen
@@ -230,7 +272,9 @@ let test_disjoint_word_ranges () =
   let buf = Vec.create () in
   Intersect.inter_into buf lo hi;
   Alcotest.(check int) "inter_into" 0 (Vec.length buf);
-  Intersect.foreach_inter (fun _ -> Alcotest.fail "streamed a value from a disjoint pair") lo hi
+  Intersect.foreach_inter_ranked
+    (fun _ _ _ -> Alcotest.fail "streamed a value from a disjoint pair")
+    lo hi
 
 let () =
   Alcotest.run "set_props"
@@ -240,7 +284,8 @@ let () =
           qcheck_of_array;
           qcheck_inter;
           qcheck_count;
-          qcheck_foreach;
+          qcheck_foreach_ranked;
+          qcheck_foreach_ranked_gallop;
           qcheck_inter_into;
           qcheck_union;
           qcheck_buffer_reuse;

@@ -116,6 +116,61 @@ let test_table_csv_roundtrip () =
       let t2 = Table.load_csv ~name:"mini2" ~schema:mini_schema ~dict path in
       Alcotest.(check bool) "same rows" true (Table.to_rows t2 = mini_rows))
 
+(* The row encoder against the row format it replaced: cells joined by
+   '|', ints in decimal, floats through Printf's %.6g, strings verbatim,
+   dates as YYYY-MM-DD. *)
+let reference_row t r =
+  String.concat "|"
+    (List.init (Schema.ncols t.Table.schema) (fun col ->
+         match Table.value t ~row:r ~col with
+         | Dtype.VInt i -> string_of_int i
+         | Dtype.VFloat f -> Printf.sprintf "%.6g" f
+         | Dtype.VString s -> s
+         | Dtype.VDate d -> Date.to_string d))
+
+let test_row_encoder () =
+  let schema =
+    Schema.create
+      [
+        ("i", Dtype.Int, Schema.Annotation);
+        ("f", Dtype.Float, Schema.Annotation);
+        ("s", Dtype.String, Schema.Annotation);
+        ("d", Dtype.Date, Schema.Annotation);
+      ]
+  in
+  let floats =
+    [ 0.; -0.; nan; Float.neg nan; infinity; neg_infinity; 5e-324; 1e300; 1e-7; 1.5; -2.25;
+      123456.7; 1234567.; 0.1 +. 0.2; Float.pi; -1e-300; max_float; min_float ]
+  in
+  let ints = [ 0; -1; 42; max_int; min_int; -7 ] in
+  let rows =
+    List.mapi
+      (fun i f ->
+        [
+          Dtype.VInt (List.nth ints (i mod List.length ints));
+          Dtype.VFloat f;
+          Dtype.VString (if i mod 3 = 0 then "" else Printf.sprintf "s|%d" i);
+          Dtype.VDate (Date.of_ymd (1990 + i) (1 + (i mod 12)) (1 + i));
+        ])
+      floats
+  in
+  let t = Table.of_rows ~name:"enc" ~schema ~dict:(Dict.create ()) rows in
+  let encode = Table.row_encoder t in
+  let buf = Buffer.create 64 in
+  for r = 0 to t.Table.nrows - 1 do
+    Buffer.clear buf;
+    encode buf r;
+    let want = reference_row t r in
+    Alcotest.(check string) (Printf.sprintf "row %d" r) want (Buffer.contents buf);
+    Alcotest.(check string) (Printf.sprintf "pp_row %d" r) want
+      (Format.asprintf "%a" (fun fmt () -> Table.pp_row fmt t r) ())
+  done;
+  (* the encoder appends, so rows written back to back concatenate *)
+  Buffer.clear buf;
+  encode buf 0;
+  encode buf 1;
+  Alcotest.(check string) "appends" (reference_row t 0 ^ reference_row t 1) (Buffer.contents buf)
+
 let test_table_encode_const () =
   let dict = Dict.create () in
   let t = Table.of_rows ~name:"mini" ~schema:mini_schema ~dict mini_rows in
@@ -356,6 +411,7 @@ let () =
           Alcotest.test_case "csv roundtrip" `Quick test_table_csv_roundtrip;
           Alcotest.test_case "csv malformed row line numbers" `Quick test_csv_malformed_line;
           Alcotest.test_case "encode_const" `Quick test_table_encode_const;
+          Alcotest.test_case "row encoder = %.6g row format" `Quick test_row_encoder;
           Alcotest.test_case "validation" `Quick test_table_validation;
         ] );
       ( "trie",
