@@ -45,8 +45,8 @@ let relative ~baseline = function
       | _ -> Timing.duration_to_string t)
   | o -> outcome_to_string o
 
-(* §VI-A protocol: one warm-up run (index construction excluded via the
-   trie cache), then [runs] hot measurements with min/max trimmed (the
+(* §VI-A protocol: one warm-up run (index construction excluded: it
+   builds the tables' memoized tries), then [runs] hot measurements with min/max trimmed (the
    same trimmed mean as [Timing.measure]). A budget violation on any run
    reports oom / t/o. Also returns the raw per-run samples so cells can
    report latency percentiles, not just the mean. *)
@@ -213,8 +213,8 @@ let measured ?budget ~runs ?domains ?sequential ~system ~sql f =
   outcome
 
 (* Run [sql] on [system] against the master engine. Engine configs are
-   swapped in place; the trie cache is content-addressed so configurations
-   share only identical tries. *)
+   swapped in place; tries are memoized on the tables under keys that fix
+   their contents, so configurations share only identical tries. *)
 let run_system eng params system sql =
   let budget = Budget.create ~max_live_words:params.mem_words ~max_seconds:params.timeout () in
   let lookup n = L.Catalog.find_exn (L.Engine.catalog eng) n in

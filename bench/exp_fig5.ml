@@ -171,7 +171,6 @@ let run_fig5c params =
                rdense = false;
              }))
   in
-  let cache : L.Executor.trie_cache = Hashtbl.create 16 in
   let budget =
     Lh_util.Budget.create ~max_live_words:params.C.mem_words ~max_seconds:params.C.timeout ()
   in
@@ -191,7 +190,7 @@ let run_fig5c params =
     (fun (label, order) ->
       let cost = L.Attr_order.cost ~rels ~weights order in
       let forced = { pnode with L.Executor.porder = order; prelaxed = false } in
-      let run () = L.Executor.run { cfg with L.Config.budget } ~cache lq forced in
+      let run () = L.Executor.run { cfg with L.Config.budget } lq forced in
       let t = C.measured ~budget ~runs:params.C.runs ~system:label ~sql:Queries.q5 run in
       C.print_row label [ Printf.sprintf "%.0f" cost; C.outcome_to_string t ])
     orders

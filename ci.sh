@@ -115,6 +115,10 @@ dune exec bin/lhfuzz.exe -- --seed 42 --count "${LH_FUZZ_COUNT:-1000}" --quiet
 # gating and the streaming ⊕-repetition path are all differentially
 # checked against the oracle's hardcoded (min,+)/(∨,∧) semantics.
 dune exec bin/lhfuzz.exe -- --semiring --seed 42 --count "${LH_FUZZ_COUNT:-1000}" --quiet
+# Seed 7 reaches a dense self-join whose one side keeps a single vertex
+# after attribute elimination; it must not be dispatched as a gemv over a
+# vector (the seed-42 leg never draws that shape).
+dune exec bin/lhfuzz.exe -- --semiring --seed 7 --count 300 --quiet
 # Layout-stress leg: the dataset gains three relations engineered to pin
 # the set-kernel layout regimes (dense bitset roots, all-uint over a wide
 # domain, dense-over-sparse) with leaf-unit tries, so generated joins

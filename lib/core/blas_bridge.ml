@@ -8,72 +8,26 @@ let g_domains = Obs.gauge "exec.domains_used"
 let fault_dispatch = Lh_fault.Fault.site "blas.dispatch"
 let h_kernel = Lh_obs.Hist.histogram "phase.blas_kernel"
 
-type dense_info = { dkey_cols : int list; dims : int array }
-
-let dense_rect (table : T.t) =
-  let keys = Schema.key_indices table.T.schema in
-  match keys with
-  | ([ _ ] | [ _; _ ]) when table.T.nrows > 0 ->
-      let cols = List.map (T.icol table) keys in
-      let dims =
-        List.map (fun c -> 1 + Array.fold_left max 0 c) cols |> Array.of_list
-      in
-      let product = Array.fold_left ( * ) 1 dims in
-      if product <> table.T.nrows then None
-      else begin
-        (* Every grid point must occur exactly once. *)
-        let seen = Bytes.make product '\000' in
-        let ok = ref true in
-        (try
-           for r = 0 to table.T.nrows - 1 do
-             let idx =
-               List.fold_left2 (fun acc c d -> (acc * d) + c.(r)) 0 cols (Array.to_list dims)
-             in
-             if Bytes.get seen idx <> '\000' then begin
-               ok := false;
-               raise Exit
-             end;
-             Bytes.set seen idx '\001'
-           done
-         with Exit -> ());
-        if !ok then Some { dkey_cols = keys; dims } else None
-      end
-  | _ -> None
+(* The extent of vertex [v] of [edge]: the dimension of its key column. *)
+let vertex_extent (edge : Logical.edge) (info : T.dense) v =
+  Option.bind (List.assoc_opt v edge.Logical.vertex_cols) (fun c ->
+      Option.map (fun i -> info.T.dims.(i)) (List.find_index (( = ) c) info.T.dkey_cols))
 
 (* Extract the float annotation buffer of [edge] as a dense matrix with
    rows indexed by [row_v] and columns by [col_v] (vertex ids). *)
-let to_dense (edge : Logical.edge) (info : dense_info) ~value_col ~row_v ~col_v =
+let to_dense (edge : Logical.edge) (info : T.dense) ~value_col ~row_v ~col_v =
   let table = edge.Logical.table in
   let values = T.fcol table value_col in
   let rcol = List.assoc row_v edge.Logical.vertex_cols in
   let ccol = List.assoc col_v edge.Logical.vertex_cols in
-  let extent c =
-    let rec go ks ds = match (ks, ds) with
-      | k :: _, d :: _ when k = c -> d
-      | _ :: ks, _ :: ds -> go ks ds
-      | _ -> invalid_arg "Blas_bridge.to_dense: column not a key"
-    in
-    go info.dkey_cols (Array.to_list info.dims)
-  in
-  let rows = extent rcol and cols = extent ccol in
+  let rows = Option.get (vertex_extent edge info row_v) in
+  let cols = Option.get (vertex_extent edge info col_v) in
   (* When the table is already laid out row-major in (row, col) order the
      value buffer is BLAS-compatible as-is: no data transformation. *)
-  let rs = T.icol table rcol and cs = T.icol table ccol in
-  let row_major =
-    info.dkey_cols = [ rcol; ccol ]
-    && (let ok = ref true in
-        (try
-           for r = 0 to table.T.nrows - 1 do
-             if (rs.(r) * cols) + cs.(r) <> r then begin
-               ok := false;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !ok)
-  in
-  if row_major then Lh_blas.Dense.of_array ~rows ~cols values
+  if info.T.row_major && info.T.dkey_cols = [ rcol; ccol ] then
+    Lh_blas.Dense.of_array ~rows ~cols values
   else begin
+    let rs = T.icol table rcol and cs = T.icol table ccol in
     let m = Lh_blas.Dense.create ~rows ~cols in
     for r = 0 to table.T.nrows - 1 do
       Lh_blas.Dense.set m rs.(r) cs.(r) values.(r)
@@ -106,12 +60,12 @@ let plain_float_col (edge : Logical.edge) = function
 
 type kernel =
   | Kmm of {
-      e1 : Logical.edge; i1 : dense_info; c1 : int; i_v : int;
-      e2 : Logical.edge; i2 : dense_info; c2 : int; j_v : int;
+      e1 : Logical.edge; i1 : T.dense; c1 : int; i_v : int;
+      e2 : Logical.edge; i2 : T.dense; c2 : int; j_v : int;
       k : int; first_is_i : bool;
     }
-  | Kmv of { e1 : Logical.edge; i1 : dense_info; c1 : int; i_v : int; e2 : Logical.edge; c2 : int; k : int }
-  | Kvm of { e1 : Logical.edge; c1 : int; e2 : Logical.edge; i2 : dense_info; c2 : int; j_v : int; k : int }
+  | Kmv of { e1 : Logical.edge; i1 : T.dense; c1 : int; i_v : int; e2 : Logical.edge; c2 : int; k : int }
+  | Kvm of { e1 : Logical.edge; c1 : int; e2 : Logical.edge; i2 : T.dense; c2 : int; j_v : int; k : int }
 
 let describe kernel =
   let n (e : Logical.edge) = e.Logical.table.T.name in
@@ -120,25 +74,13 @@ let describe kernel =
   | Kmv { e1; e2; _ } -> Printf.sprintf "gemv(%s, %s)" (n e1) (n e2)
   | Kvm { e1; e2; _ } -> Printf.sprintf "gemv_t(%s, %s)" (n e1) (n e2)
 
-let vertex_extent (edge : Logical.edge) (info : dense_info) v =
-  match List.assoc_opt v edge.Logical.vertex_cols with
-  | None -> None
-  | Some c ->
-      let rec go ks ds =
-        match (ks, ds) with
-        | k :: _, d :: _ when k = c -> Some d
-        | _ :: ks, _ :: ds -> go ks ds
-        | _ -> None
-      in
-      go info.dkey_cols (Array.to_list info.dims)
-
-let match_kernel (lq : Logical.t) ~dense_of =
+let match_kernel (lq : Logical.t) =
   let ( let* ) o f = Option.bind o f in
   let* () = if Array.length lq.Logical.edges = 2 then Some () else None in
   let e1 = lq.Logical.edges.(0) and e2 = lq.Logical.edges.(1) in
   let* () = if e1.Logical.filter = None && e2.Logical.filter = None then Some () else None in
-  let* i1 = dense_of e1.Logical.table in
-  let* i2 = dense_of e2.Logical.table in
+  let* i1 = T.dense_rect e1.Logical.table in
+  let* i2 = T.dense_rect e2.Logical.table in
   (* Exactly one SUM slot owned by both relations via plain float columns. *)
   let* slot = if Array.length lq.Logical.slots = 1 then Some lq.Logical.slots.(0) else None in
   let* () = if Semiring.is_sum_product slot.Logical.sr then Some () else None in
@@ -168,6 +110,9 @@ let match_kernel (lq : Logical.t) ~dense_of =
   let* d1 = vertex_extent e1 i1 k in
   let* d2 = vertex_extent e2 i2 k in
   let* () = if d1 = d2 then Some () else None in
+  (* A one-vertex side is a vector only if its table has one key: a
+     matrix whose row key was eliminated still holds a value per cell. *)
+  let vector (i : T.dense) = match i.T.dkey_cols with [ _ ] -> Some () | _ -> None in
   match (List.length v1, List.length v2, gkeys) with
   | 2, 2, [ g1; g2 ] ->
       (* DMM: orientation by which edge owns which group key. *)
@@ -180,11 +125,13 @@ let match_kernel (lq : Logical.t) ~dense_of =
       Some (Kmm { e1; i1; c1; i_v; e2; i2; c2; j_v; k; first_is_i = g1 = i_v })
   | 2, 1, [ g ] ->
       (* DMV: e1 is the matrix, e2 the vector over the shared vertex. *)
+      let* () = vector i2 in
       let* i_v = match List.filter (fun v -> v <> k) v1 with [ v ] -> Some v | _ -> None in
       let* () = if g = i_v then Some () else None in
       Some (Kmv { e1; i1; c1; i_v; e2; c2; k })
   | 1, 2, [ g ] ->
       (* Vector on the left: x' = vec, matrix = e2; compute y_j = Σ_k x_k B_kj. *)
+      let* () = vector i1 in
       let* j_v = match List.filter (fun v -> v <> k) v2 with [ v ] -> Some v | _ -> None in
       let* () = if g = j_v then Some () else None in
       Some (Kvm { e1; c1; e2; i2; c2; j_v; k })

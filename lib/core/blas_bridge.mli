@@ -9,20 +9,13 @@
     matvec or matmul shape with a single SUM-of-products aggregate and no
     filters. Everything else stays on the WCOJ path. *)
 
-type dense_info = { dkey_cols : int list; dims : int array }
-(** Key columns of the table and the extent of each: the table enumerates
-    the complete grid [{0..dims.(0)-1} × ...]. *)
-
-val dense_rect : Lh_storage.Table.t -> dense_info option
-(** Checks (in one scan) that the key columns of the table cover a full
-    zero-based rectangle exactly once. Intended to be cached by the engine. *)
-
 type kernel
 (** A matched dense kernel, ready to execute. *)
 
-val match_kernel :
-  Logical.t -> dense_of:(Lh_storage.Table.t -> dense_info option) -> kernel option
-(** Eligibility check only — no computation. *)
+val match_kernel : Logical.t -> kernel option
+(** Eligibility check only — no computation. Both tables must be dense
+    ({!Lh_storage.Table.dense_rect}); a one-vertex side is taken as the
+    vector only when its table has exactly one key column. *)
 
 val describe : kernel -> string
 (** One-line plan summary, e.g. ["gemm(m, m)"] — kernel name and the

@@ -7,8 +7,6 @@ module Ast = Lh_sql.Ast
 module Normalize = Lh_sql.Normalize
 
 let c_rows_emitted = Obs.counter "rows.emitted"
-let c_dense_hit = Obs.counter "dense_cache.hit"
-let c_dense_miss = Obs.counter "dense_cache.miss"
 let c_plan_hit = Obs.counter "plan_cache.hit"
 let c_plan_miss = Obs.counter "plan_cache.miss"
 let c_plan_evict = Obs.counter "plan_cache.evict"
@@ -171,8 +169,6 @@ type prof_acc = {
 type t = {
   cat : Catalog.t;
   mutable cfg : Config.t;
-  dense_cache : (string, Blas_bridge.dense_info option) Hashtbl.t;
-  trie_cache : Executor.trie_cache;
   plans : (string, centry) Hashtbl.t;  (** normalized-AST text -> plan *)
   mutable plan_tick : int;  (** logical clock for LRU eviction *)
   mutable epoch : int;  (** bumped on catalog / plan-relevant config change *)
@@ -196,8 +192,6 @@ let create ?(config = Config.default) () =
   {
     cat = Catalog.create ();
     cfg = config;
-    dense_cache = Hashtbl.create 8;
-    trie_cache = Hashtbl.create 32;
     plans = Hashtbl.create 16;
     plan_tick = 0;
     epoch = 0;
@@ -225,44 +219,37 @@ let plan_relevant (c : Config.t) =
     c.Config.relax_materialized_first,
     c.Config.ghd_heuristics )
 
-let set_config t cfg =
-  let changed = plan_relevant cfg <> plan_relevant t.cfg in
-  t.cfg <- cfg;
-  if changed then begin
-    Hashtbl.reset t.plans;
-    t.epoch <- t.epoch + 1
-  end
-
-(* (Re-)registering a name invalidates cached plans/tries for it. Every
-   entry point that mutates the catalog must go through this: serving a
-   cached trie or plan for a replaced table would silently return stale
-   rows (plans capture table values in their bindings). *)
-let invalidate_caches t =
-  Hashtbl.reset t.trie_cache;
-  Hashtbl.reset t.dense_cache;
+(* Plans capture table values and config knobs: a change flushes them and
+   bumps the epoch, so live statements re-plan. Indexes live on tables. *)
+let new_epoch t =
   Hashtbl.reset t.plans;
   t.epoch <- t.epoch + 1
 
+let set_config t cfg =
+  let changed = plan_relevant cfg <> plan_relevant t.cfg in
+  t.cfg <- cfg;
+  if changed then new_epoch t
+
 let register t table =
-  invalidate_caches t;
+  new_epoch t;
   Catalog.register t.cat table
 let dict t = Catalog.dict t.cat
 
 (* Ingest entry points wrap like the query entry points do, so an aborted
    load (bad row, injected fault) surfaces as a typed [Error] with the
-   catalog unchanged: the caches are dropped up front (cheap and
+   catalog unchanged: the plans are dropped up front (cheap and
    idempotent) and the table is only registered after a fully successful
    build. *)
 let register_rows t ~name ~schema rows =
   wrap (fun () ->
-      invalidate_caches t;
+      new_epoch t;
       let table = T.of_rows ~name ~schema ~dict:(Catalog.dict t.cat) rows in
       Catalog.register t.cat table;
       table)
 
 let load_csv t ~name ~schema ?sep path =
   wrap (fun () ->
-      invalidate_caches t;
+      new_epoch t;
       Catalog.load_csv t.cat ~name ~schema ~domains:(max 1 t.cfg.Config.domains) ?sep path)
 
 (* Durable-checkpoint writer (see Lh_durable.Store): every relation
@@ -282,9 +269,9 @@ let epoch t = t.epoch
 
 (* Freeze the current catalog: one deep dictionary copy, every table
    repointed at it. Table columns are immutable after construction, so the
-   snapshot shares them; only the dictionary — the one structure ingest
-   keeps mutating — is copied. Must be called with no ingest in flight
-   (the serving layer serializes writers). *)
+   snapshot shares them (and the tables' index memos); only the dictionary
+   — the one structure ingest keeps mutating — is copied. Must be called
+   with no ingest in flight (the serving layer serializes writers). *)
 let snapshot t =
   let dict = Lh_storage.Dict.copy (Catalog.dict t.cat) in
   let cat = Catalog.of_dict dict in
@@ -295,10 +282,11 @@ let snapshot t =
 
 let snapshot_epoch s = s.snap_epoch
 
-(* A read-only view engine over a snapshot: private caches and a private
-   catalog (so a [query_into] on one view cannot race another), sharing the
-   snapshot's frozen dictionary and table buffers. The budget is cloned —
-   its per-run cells are mutable and views execute concurrently. The view's
+(* A read-only view engine over a snapshot: a private plan cache and a
+   private catalog (so a [query_into] on one view cannot race another),
+   sharing the snapshot's frozen dictionary and table values, and so their
+   indexes. The budget is cloned — its per-run cells are mutable and views
+   execute concurrently. The view's
    epoch is pinned to the snapshot's, so prepared statements created on a
    view never spuriously revalidate. *)
 let of_snapshot ?config snap =
@@ -309,18 +297,6 @@ let of_snapshot ?config snap =
   let cfg = Option.value config ~default:snap.snap_cfg in
   let cfg = { cfg with Config.budget = Lh_util.Budget.clone cfg.Config.budget } in
   { (create ~config:cfg ()) with cat; epoch = snap.snap_epoch }
-
-let dense_info t (table : T.t) =
-  let key = Printf.sprintf "%s/%d" table.T.name table.T.nrows in
-  match Hashtbl.find_opt t.dense_cache key with
-  | Some i ->
-      Obs.incr c_dense_hit;
-      i
-  | None ->
-      Obs.incr c_dense_miss;
-      let i = Blas_bridge.dense_rect table in
-      Hashtbl.replace t.dense_cache key i;
-      i
 
 (* ------------------------------------------------------------------ *)
 (* Per-query profiles                                                   *)
@@ -536,7 +512,7 @@ let execute t ~name lq decided =
     | Use_wcoj (ghd, pnode) ->
         let rows, leaf =
           Obs.span "execute.wcoj" ~record:(Hist.observe_always h_wcoj) (fun () ->
-              Executor.run t.cfg ~cache:t.trie_cache lq pnode)
+              Executor.run t.cfg lq pnode)
         in
         (match t.prof with Some a -> a.a_plan <- wcoj_summary ~leaf lq ghd pnode | None -> ());
         rows
@@ -575,7 +551,7 @@ let translate_and_plan t ast =
           let ghd =
             Obs.span "plan.ghd" (fun () -> Ghd.plan lq ~heuristics:t.cfg.Config.ghd_heuristics)
           in
-          let dense_of (e : Logical.edge) = Option.is_some (dense_info t e.Logical.table) in
+          let dense_of (e : Logical.edge) = Option.is_some (T.dense_rect e.Logical.table) in
           let pnode =
             Obs.span "plan.attr_order" (fun () -> Executor.physical t.cfg lq ~dense_of ghd)
           in
@@ -686,8 +662,7 @@ let bind t plan params =
   in
   let blas () =
     if t.cfg.Config.blas_targeting && t.cfg.Config.attribute_elimination then
-      Obs.span "bind.blas_match" (fun () ->
-          Blas_bridge.match_kernel lq ~dense_of:(dense_info t))
+      Obs.span "bind.blas_match" (fun () -> Blas_bridge.match_kernel lq)
     else None
   in
   let decided =

@@ -36,7 +36,9 @@
     equality-selection weights) are re-checked cheaply at bind time.
     Cached plans are invalidated by {!register} / {!register_rows} /
     {!load_csv}, and by {!set_config} when a plan-shaping knob changes.
-    Hits/misses/evictions are observable as the [plan_cache.*] counters. *)
+    Hits/misses/evictions are observable as the [plan_cache.*] counters.
+    Tries and dense shapes are not the engine's: they are memoized on the
+    table value ({!Lh_storage.Table.trie}), so nothing else is flushed. *)
 
 type t
 
@@ -86,8 +88,8 @@ val set_config : t -> Config.t -> unit
 (** Swap the configuration. Flushes cached plans (and revalidates live
     prepared statements on their next execution) iff a plan-shaping knob
     changed: [attribute_elimination], [attr_order],
-    [relax_materialized_first] or [ghd_heuristics]. Trie and dense-matrix
-    caches are content-addressed and survive config changes. *)
+    [relax_materialized_first] or [ghd_heuristics]. Table indexes (tries,
+    dense shapes) do not depend on the configuration and are kept. *)
 
 val catalog : t -> Catalog.t
 
@@ -108,9 +110,10 @@ val dump : t -> (string * Lh_storage.Schema.t * Lh_storage.Dtype.value list list
     A snapshot freezes the engine's catalog at one epoch: a deep copy of
     the shared string dictionary plus the (immutable) table buffers
     repointed at it. {!of_snapshot} turns a snapshot into a read-only view
-    engine with private caches, safe to query from another domain while
-    the original engine keeps ingesting. This is the storage half of the
-    serving layer's epoch-pinned reads (see [Lh_serve]). *)
+    engine with a private plan cache, safe to query from another domain
+    while the original engine keeps ingesting. The table values, and so
+    their indexes, are shared. This is the storage half of the serving
+    layer's epoch-pinned reads (see [Lh_serve]). *)
 
 type snapshot
 
@@ -127,8 +130,8 @@ val snapshot_epoch : snapshot -> int
 (** The {!epoch} the snapshot was taken at. *)
 
 val of_snapshot : ?config:Config.t -> snapshot -> t
-(** A view engine over a frozen snapshot: private plan/trie/dense caches,
-    a private catalog, a cloned budget ({!Lh_util.Budget.clone}), and
+(** A view engine over a frozen snapshot: a private plan cache, a private
+    catalog, a cloned budget ({!Lh_util.Budget.clone}), and
     [epoch] pinned to {!snapshot_epoch}. Many views of the same snapshot
     may execute queries concurrently; do not ingest into a view. [config]
     defaults to the source engine's configuration at freeze time. *)
@@ -156,7 +159,7 @@ val semirings : unit -> string list
 val query_into : t -> name:string -> string -> Lh_storage.Table.t
 (** Like {!query} but names the result table [name] and registers it in
     the catalog so later queries can read it. Registration invalidates
-    cached plans and tries (the catalog changed). *)
+    cached plans (the catalog changed), not other tables' indexes. *)
 
 val query_analyze : t -> string -> Lh_storage.Table.t * explain * Lh_obs.Report.t
 (** [EXPLAIN ANALYZE]: runs the query with telemetry enabled for exactly

@@ -11,8 +11,6 @@ open Lh_sql
    probe below is a no-op branch while telemetry is disabled, and the
    per-tuple loops only touch plain [ctx] fields that are flushed into
    the atomic counters once per bag execution. *)
-let c_cache_hit = Obs.counter "trie_cache.hit"
-let c_cache_miss = Obs.counter "trie_cache.miss"
 let c_trie_built = Obs.counter "trie.built"
 let c_isect = Obs.counter "wcoj.intersections"
 let c_ticks = Obs.counter "wcoj.leaf_ticks"
@@ -173,42 +171,7 @@ let alias_gitems (lq : Logical.t) alias =
          | Logical.Group_ann a when String.equal a.alias alias -> Some (i, a.expr)
          | Logical.Group_ann _ | Logical.Group_key _ -> None)
 
-(* Hot-run trie cache (§VI-A measurement protocol: index creation is
-   excluded, measurements are hot runs back-to-back).  The key captures
-   everything that determines the trie's contents. *)
-type trie_cache = (string, Trie.t) Hashtbl.t
-
-let alias_gitems_sig (lq : Logical.t) alias =
-  alias_gitems lq alias
-  |> List.map (fun (i, e) -> Format.asprintf "%d:%a" i Ast.pp_expr e)
-  |> String.concat ";"
-
-
-(* Only ever keys filter-less tries (see [build_base_xrel]), so the edge's
-   filter is not part of the key. *)
-let trie_signature (lq : Logical.t) ~order (edge : Logical.edge) =
-  (* Key levels identified by their column indices: vertex ids are
-     query-local and would collide across different queries. *)
-  let levels =
-    List.filter (fun v -> List.mem v edge.Logical.vertices) order
-    |> List.map (fun v -> List.assoc v edge.Logical.vertex_cols)
-  in
-  let slots_sig =
-    Array.to_list lq.Logical.slots
-    |> List.mapi (fun j (s : Logical.slot) ->
-           match List.assoc_opt edge.Logical.alias s.Logical.owners with
-           | Some e -> Format.asprintf "%d:%s:%a" j s.Logical.sr.Semiring.name Ast.pp_expr e
-           | None -> "")
-    |> String.concat ";"
-  in
-  let gitems_sig =
-    alias_gitems_sig lq edge.Logical.alias
-  in
-  Format.asprintf "%s/%d|%s|%s|%s" edge.Logical.table.T.name edge.Logical.table.T.nrows
-    (String.concat "," (List.map string_of_int levels))
-    slots_sig gitems_sig
-
-let build_base_xrel ?cache ~domains (lq : Logical.t) ~order (edge : Logical.edge) =
+let build_base_xrel ~domains (lq : Logical.t) ~order (edge : Logical.edge) =
   let table = edge.Logical.table in
   let resolve = table_resolver edge.Logical.alias table in
   let levels_v = List.filter (fun v -> List.mem v edge.Logical.vertices) order in
@@ -255,22 +218,22 @@ let build_base_xrel ?cache ~domains (lq : Logical.t) ~order (edge : Logical.edge
   let xslot = Array.make (Array.length lq.Logical.slots + 1) (-1) in
   List.iteri (fun local (j, _, _) -> xslot.(j) <- local) owned;
   let xtrie =
-    (* Only filter-less tries are cached: they are the base indexes the
-       §VI-A protocol builds at load time. Selections are query work and
-       stay inside the measured run. *)
-    match cache with
-    | Some cache when edge.Logical.filter = None -> (
-        let sig_ = trie_signature lq ~order edge in
-        match Hashtbl.find_opt cache sig_ with
-        | Some t ->
-            Obs.incr c_cache_hit;
-            t
-        | None ->
-            Obs.incr c_cache_miss;
-            let t = build () in
-            Hashtbl.replace cache sig_ t;
-            t)
-    | _ -> build ()
+    (* Only filter-less tries are the table's indexes, which the paper
+       builds at load time (§VI-A). Selections are query work. *)
+    match edge.Logical.filter with
+    | Some _ -> build ()
+    | None ->
+        (* Everything besides the table that fixes the trie: key levels as
+           column indices (vertex ids are query-local), owned slots and
+           carried codes, whose bound constants the shape masks. *)
+        let key expr =
+          let item tag (i, e) = Format.asprintf "%s%d:%a" tag i Ast.pp_expr (expr e) in
+          String.concat "|"
+            (List.map (fun v -> string_of_int (List.assoc v edge.Logical.vertex_cols)) levels_v
+            @ List.map (fun (j, (sr : Semiring.t), e) -> item ("s" ^ sr.Semiring.name ^ ":") (j, e)) owned
+            @ List.map (item "g") gitems)
+        in
+        T.trie table ~shape:(key Normalize.shape) ~key:(key Fun.id) build
   in
   let positions =
     List.mapi (fun i v -> (i, v)) order
@@ -884,11 +847,11 @@ type bag_role = Root | Child of int list
 (* Execute a child node and wrap its materialized result as a relation for
    the parent: keys = interface (in the parent's attribute-order order),
    annotations = every slot plus the multiplicity. *)
-let rec exec_child cfg ?cache (lq : Logical.t) (node : pnode) ~parent_order =
+let rec exec_child cfg (lq : Logical.t) (node : pnode) ~parent_order =
   let iface_sorted =
     List.filter (fun v -> List.mem v node.pbag.Ghd.interface) parent_order
   in
-  let rows, code_sources, _ = run_bag cfg ?cache lq node ~role:(Child iface_sorted) in
+  let rows, code_sources, _ = run_bag cfg lq node ~role:(Child iface_sorted) in
   let nslots = Array.length lq.Logical.slots in
   let nkeys = List.length iface_sorted in
   let rows_arr = Array.of_list rows in
@@ -936,13 +899,13 @@ and pos_of order v =
 (* Run the WCOJ for one node (children first, bottom-up). Returns the rows,
    for a child the gitem ids appended as code columns after its interface
    keys, and the node's leaf disposition. *)
-and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
+and run_bag (cfg : Config.t) (lq : Logical.t) (node : pnode) ~role =
   let order = node.porder in
-  let derived = List.map (fun c -> exec_child cfg ?cache lq c ~parent_order:order) node.pchildren in
+  let derived = List.map (fun c -> exec_child cfg lq c ~parent_order:order) node.pchildren in
   let bases =
     List.map
       (fun e ->
-        build_base_xrel ?cache ~domains:(max 1 cfg.Config.domains) lq ~order lq.Logical.edges.(e))
+        build_base_xrel ~domains:(max 1 cfg.Config.domains) lq ~order lq.Logical.edges.(e))
       node.pbag.Ghd.bag_edges
   in
   let rels = Array.of_list (bases @ derived) in
@@ -1032,8 +995,8 @@ and run_bag (cfg : Config.t) ?cache (lq : Logical.t) (node : pnode) ~role =
   in
   (rows, appended_items, kmode)
 
-let run cfg ?cache lq root =
-  let rows, _, kmode = run_bag cfg ?cache lq root ~role:Root in
+let run cfg lq root =
+  let rows, _, kmode = run_bag cfg lq root ~role:Root in
   (rows, kmode)
 
 (* ------------------------------------------------------------------ *)

@@ -55,24 +55,18 @@ val rel_infos :
 (** The §V relation descriptors of one bag (base relations followed by
     derived child relations) — exposed for the Fig. 5 experiments. *)
 
-type trie_cache = (string, Lh_storage.Trie.t) Hashtbl.t
-(** Hot-run trie cache: the §VI-A protocol measures hot runs back-to-back
-    and excludes index creation, so the engine keeps per-query tries keyed
-    by everything that determines their contents (table identity, key
-    levels, carried codes, owned aggregates). Only filter-less tries are
-    cached: selections are query work. *)
-
 type row = { gcodes : int array; slots : float array }
 (** One output group: codes per GROUP BY item (vertex value for key items,
     annotation code for the rest) and one value per physical slot. *)
 
-val run :
-  Config.t -> ?cache:trie_cache -> Logical.t -> pnode -> row list * Compile.Leaf.mode
+val run : Config.t -> Logical.t -> pnode -> row list * Compile.Leaf.mode
 (** Execute the plan. Rows are sorted by [gcodes]. Scalar queries yield
     exactly one row with empty [gcodes]. Also returns the root bag's leaf
     disposition, which every bag decides once per execution from its bound
     tries ({!Compile.Leaf.mode}). Budget violations raise the
-    {!Lh_util.Budget} exceptions. *)
+    {!Lh_util.Budget} exceptions. A relation without a selection takes its
+    trie from its table's memo ({!Lh_storage.Table.trie}; index creation
+    is load-time work, §VI-A); one with a selection gets a fresh trie. *)
 
 val run_scan : Config.t -> Logical.t -> row list
 (** The no-join path (queries whose hypergraph has no vertices, e.g.

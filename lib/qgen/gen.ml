@@ -40,7 +40,7 @@ let is_vector t =
   | _ -> false
 
 (* A table whose int key columns enumerate a complete zero-based grid:
-   the shape {!Lh_blas} kernels accept (mirrors [Blas_bridge.dense_rect]
+   the shape {!Lh_blas} kernels accept (mirrors [Lh_storage.Table.dense_rect]
    without scanning the data again). *)
 let is_dense t =
   let ks = keys t in

@@ -200,10 +200,10 @@ let pin_for_query s =
       e.e_pins <- e.e_pins + 1;
       e)
 
-(* One view engine per (session, epoch): private plan/trie/dense caches
-   with session lifetime, so repeated shapes hit warm plans without any
-   cross-session sharing. Called with [s_lock] held. Views of reclaimed
-   epochs are pruned as newer ones are created. *)
+(* One view engine per (session, epoch): a private plan cache, so repeated
+   shapes hit warm plans. Tries live on the table values, shared by every
+   session and epoch that holds them. Called with [s_lock] held. Views of
+   reclaimed epochs are pruned as newer ones are created. *)
 let view_for s e =
   match List.assoc_opt e.e_id s.s_views with
   | Some v -> v

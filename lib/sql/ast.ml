@@ -48,11 +48,20 @@ let pp_col fmt { relation; column } =
   | Some r -> Format.fprintf fmt "%s.%s" r column
   | None -> Format.pp_print_string fmt column
 
+(* The printed text keys caches, so distinct literals print distinctly:
+   floats in the fewest digits that read back exactly, never like ints. *)
+let float_text f =
+  let exact s = Float.equal (float_of_string s) f in
+  let s = List.find exact [ Printf.sprintf "%.15g" f; Printf.sprintf "%.17g" f ] in
+  if String.exists (fun c -> not (c = '-' || (c >= '0' && c <= '9'))) s then s else s ^ ".0"
+
+let quoted s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+
 let rec pp_expr fmt = function
   | Col c -> pp_col fmt c
   | Int_lit i -> Format.pp_print_int fmt i
-  | Float_lit f -> Format.fprintf fmt "%g" f
-  | String_lit s -> Format.fprintf fmt "'%s'" s
+  | Float_lit f -> Format.pp_print_string fmt (float_text f)
+  | String_lit s -> Format.pp_print_string fmt (quoted s)
   | Date_lit d -> Format.fprintf fmt "date '%s'" (Lh_storage.Date.to_string d)
   | Interval_day n -> Format.fprintf fmt "interval '%d' day" n
   | Param i -> Format.fprintf fmt "$%d" i
@@ -69,8 +78,8 @@ and pp_pred fmt = function
   | Cmp (op, a, b) -> Format.fprintf fmt "%a %s %a" pp_expr a (cmp_to_string op) pp_expr b
   | Between (e, lo, hi) ->
       Format.fprintf fmt "%a between %a and %a" pp_expr e pp_expr lo pp_expr hi
-  | Like (e, p) -> Format.fprintf fmt "%a like '%s'" pp_expr e p
-  | Not_like (e, p) -> Format.fprintf fmt "%a not like '%s'" pp_expr e p
+  | Like (e, p) -> Format.fprintf fmt "%a like %s" pp_expr e (quoted p)
+  | Not_like (e, p) -> Format.fprintf fmt "%a not like %s" pp_expr e (quoted p)
   | And (a, b) -> Format.fprintf fmt "(%a and %a)" pp_pred a pp_pred b
   | Or (a, b) -> Format.fprintf fmt "(%a or %a)" pp_pred a pp_pred b
   | Not p -> Format.fprintf fmt "not (%a)" pp_pred p

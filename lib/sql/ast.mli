@@ -58,6 +58,8 @@ type query = {
 }
 
 val pp_expr : Format.formatter -> expr -> unit
+(** Distinct literals print distinctly: the text keys caches. *)
+
 val pp_pred : Format.formatter -> pred -> unit
 val pp_query : Format.formatter -> query -> unit
 

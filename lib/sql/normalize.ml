@@ -70,14 +70,7 @@ let substitute q (params : Lh_storage.Dtype.value list) =
    the right operand of [/] (constant non-zero divisors compile away), the
    ELSE branch of CASE (the multi-relation rule needs ELSE 0), and
    EXTRACT(YEAR FROM _) subtrees (year filters fold to date ranges). *)
-let lift_literals (q : Ast.query) =
-  let next = ref (Ast.max_param q) in
-  let acc = ref [] in
-  let fresh v =
-    incr next;
-    acc := v :: !acc;
-    Ast.Param !next
-  in
+let lifter fresh =
   let rec expr e =
     match value_of_literal e with
     | Some v -> fresh v
@@ -103,6 +96,19 @@ let lift_literals (q : Ast.query) =
     | Ast.Or (a, b) -> Ast.Or (pred a, pred b)
     | Ast.Not a -> Ast.Not (pred a)
   in
+  (expr, pred)
+
+let shape = fst (lifter (fun _ -> Ast.Param 0))
+
+let lift_literals (q : Ast.query) =
+  let next = ref (Ast.max_param q) in
+  let acc = ref [] in
+  let fresh v =
+    incr next;
+    acc := v :: !acc;
+    Ast.Param !next
+  in
+  let expr, pred = lifter fresh in
   let item = function
     | Ast.Aggregate (a, Some e, alias) -> Ast.Aggregate (a, Some (expr e), alias)
     | Ast.Aggregate (_, None, _) as it -> it

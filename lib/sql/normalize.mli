@@ -35,3 +35,7 @@ val lift_literals : Ast.query -> Ast.query * Lh_storage.Dtype.value list
     deliberately left in place: divisors (right operand of [/]), CASE
     ELSE branches, EXTRACT(YEAR FROM _) subtrees, LIKE patterns, plain
     (non-aggregate) select items, and GROUP BY expressions. *)
+
+val shape : Ast.expr -> Ast.expr
+(** [e] with every literal {!lift_literals} would hoist replaced by [$0]:
+    equal for two expressions that differ only in those constants. *)

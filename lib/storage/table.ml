@@ -1,4 +1,15 @@
+module Obs = Lh_obs.Obs
+
 type column = Icol of int array | Fcol of float array
+
+type dense = { dkey_cols : int list; dims : int array; row_major : bool }
+
+module Smap = Map.Make (String)
+
+(* Swapped whole by compare-and-set, so readers take no lock. [tries] maps
+   a shape to its one (key, trie); [dense] is [None] until computed. *)
+type entries = { tries : (string * Trie.t) Smap.t; dense : dense option option }
+type memo = entries Atomic.t
 
 type t = {
   name : string;
@@ -6,7 +17,13 @@ type t = {
   nrows : int;
   cols : column array;
   dict : Dict.t;
+  memo : memo;
 }
+
+let c_trie_hit = Obs.counter "trie_cache.hit"
+let c_trie_miss = Obs.counter "trie_cache.miss"
+let c_dense_hit = Obs.counter "dense_cache.hit"
+let c_dense_miss = Obs.counter "dense_cache.miss"
 
 let column_length = function Icol a -> Array.length a | Fcol a -> Array.length a
 
@@ -28,12 +45,35 @@ let create ~name ~schema ~dict cols =
       | (Dtype.Int | Dtype.String | Dtype.Date), Fcol _ ->
           failwith (Printf.sprintf "Table.create %s: column %s must be int codes" name spec.Schema.name))
     cols;
-  { name; schema; nrows; cols; dict }
+  { name; schema; nrows; cols; dict; memo = Atomic.make { tries = Smap.empty; dense = None } }
 
 (* Columns are immutable after [create]; repointing the dictionary is all a
    snapshot needs — the int codes stay valid because [Dict.copy] preserves
-   code assignment. *)
+   code assignment, so the copy shares the memo too. *)
 let with_dict t ~dict = { t with dict }
+
+let memoize t ~find ~add ~hit ~miss build =
+  match find (Atomic.get t.memo) with
+  | Some v ->
+      Obs.incr hit;
+      v
+  | None ->
+      Obs.incr miss;
+      let v = build () in
+      let rec install () =
+        let cur = Atomic.get t.memo in
+        match find cur with
+        | Some first -> first
+        | None -> if Atomic.compare_and_set t.memo cur (add cur v) then v else install ()
+      in
+      install ()
+
+let trie t ~shape ~key build =
+  memoize t
+    ~find:(fun m ->
+      match Smap.find_opt shape m.tries with Some (k, v) when String.equal k key -> Some v | _ -> None)
+    ~add:(fun m v -> { m with tries = Smap.add shape (key, v) m.tries })
+    ~hit:c_trie_hit ~miss:c_trie_miss build
 
 let encode_cell dict dtype raw =
   match dtype with
@@ -208,6 +248,42 @@ let value t ~row ~col =
   | Icol a, Dtype.Date -> Dtype.VDate a.(row)
   | Icol a, Dtype.String -> Dtype.VString (Dict.decode t.dict a.(row))
   | Icol _, Dtype.Float -> assert false
+
+let dense_grid table =
+  let keys = Schema.key_indices table.schema in
+  match keys with
+  | ([ _ ] | [ _; _ ]) when table.nrows > 0 ->
+      let cols = List.map (icol table) keys in
+      let dims =
+        List.map (fun c -> 1 + Array.fold_left max 0 c) cols |> Array.of_list
+      in
+      let product = Array.fold_left ( * ) 1 dims in
+      if product <> table.nrows then None
+      else begin
+        (* Every grid point must occur exactly once. *)
+        let seen = Bytes.make product '\000' in
+        let ok = ref true in
+        let row_major = ref true in
+        (try
+           for r = 0 to table.nrows - 1 do
+             let idx =
+               List.fold_left2 (fun acc c d -> (acc * d) + c.(r)) 0 cols (Array.to_list dims)
+             in
+             if Bytes.get seen idx <> '\000' then begin
+               ok := false;
+               raise Exit
+             end;
+             if idx <> r then row_major := false;
+             Bytes.set seen idx '\001'
+           done
+         with Exit -> ());
+        if !ok then Some { dkey_cols = keys; dims; row_major = !row_major } else None
+      end
+  | _ -> None
+
+let dense_rect t =
+  memoize t ~find:(fun m -> m.dense) ~add:(fun m v -> { m with dense = Some v })
+    ~hit:c_dense_hit ~miss:c_dense_miss (fun () -> dense_grid t)
 
 let encode_const t col v =
   let spec = Schema.col t.schema col in

@@ -8,12 +8,21 @@
 
 type column = Icol of int array | Fcol of float array
 
+type memo
+(** The table's indexes (unfiltered tries, dense shape), built on first
+    use and kept for the table's lifetime, as the paper builds tries at
+    load; a replaced table is a new value with an empty memo. Safe from
+    any domain. Sound because an index depends only on the columns and on
+    codes already in the dictionary: a string a {!with_dict} copy interns
+    later is held by no row, so a lookup that missed it stays right. *)
+
 type t = private {
   name : string;
   schema : Schema.t;
   nrows : int;
   cols : column array;
   dict : Dict.t;
+  memo : memo;
 }
 
 val create : name:string -> schema:Schema.t -> dict:Dict.t -> column array -> t
@@ -24,9 +33,27 @@ val of_rows : name:string -> schema:Schema.t -> dict:Dict.t -> Dtype.value list 
 (** Convenience constructor for tests and small inputs. *)
 
 val with_dict : t -> dict:Dict.t -> t
-(** Same columns, different dictionary. Only meaningful when [dict]
-    preserves this table's code assignment (e.g. a {!Dict.copy} of the
-    original); used to freeze tables into immutable snapshots. *)
+(** Same columns, different dictionary, the same {!memo}. Only meaningful
+    when [dict] preserves this table's code assignment (e.g. a
+    {!Dict.copy} of the original); used to freeze tables into immutable
+    snapshots. *)
+
+val trie : t -> shape:string -> key:string -> (unit -> Trie.t) -> Trie.t
+(** [trie t ~shape ~key build]: the trie memoized under [key], else
+    [build ()] installed under it; [key] fixes the trie's contents and
+    [shape] is [key] with its bound constants masked. One trie is held per
+    shape, so the memo grows with query shapes, not constants. Built with
+    no lock held; the first of racing installs wins; a raise installs
+    nothing. Counters [trie_cache.hit] (found), [trie_cache.miss] (built). *)
+
+type dense = { dkey_cols : int list; dims : int array; row_major : bool }
+(** Key columns and the extent of each: the table enumerates the complete
+    grid [{0..dims.(0)-1} × ...], in grid order when [row_major]. *)
+
+val dense_rect : t -> dense option
+(** [Some] when the one or two key columns cover a full zero-based
+    rectangle exactly once; one scan on first use, then memoized.
+    Counters [dense_cache.hit] and [dense_cache.miss]. *)
 
 val load_csv :
   name:string -> schema:Schema.t -> dict:Dict.t -> ?domains:int -> ?sep:char -> string -> t

@@ -153,8 +153,8 @@ let test_dense_is_complete_grid () =
   let dict = Dict.create () in
   let t, d = Lh_datagen.Matrices.dense ~dict ~name:"d" ~n:9 () in
   Alcotest.(check int) "81 rows" 81 t.Table.nrows;
-  (match Levelheaded.Blas_bridge.dense_rect t with
-  | Some info -> Alcotest.(check (array int)) "dims" [| 9; 9 |] info.Levelheaded.Blas_bridge.dims
+  (match Table.dense_rect t with
+  | Some info -> Alcotest.(check (array int)) "dims" [| 9; 9 |] info.Table.dims
   | None -> Alcotest.fail "dense table not detected as a grid");
   (* the table's value buffer is the row-major dense data *)
   Alcotest.(check bool) "row-major identity" true (Table.fcol t 2 = d.Lh_blas.Dense.data)

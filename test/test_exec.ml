@@ -102,6 +102,20 @@ let test_explain_fhw () =
 
 let fresh_engine () = L.Engine.create ()
 
+(* A dense matrix joined with itself on its column key, grouped by one
+   side's row. The other side keeps only its col vertex after attribute
+   elimination, but it is a matrix, not a vector: the query must not
+   take the gemv path, and its sums must match the oracle. *)
+let test_dense_self_join_not_vector () =
+  let e = fresh_engine () in
+  let dm2, _ = Lh_datagen.Matrices.dense ~dict:(L.Engine.dict e) ~name:"dm2" ~n:6 ~seed:8 () in
+  L.Engine.register e dm2;
+  let sql =
+    "select r1.row, sum(r1.v * r0.v) from dm2 r0, dm2 r1 where r0.col = r1.col group by r1.row"
+  in
+  Helpers.check_against_oracle e sql;
+  Alcotest.(check bool) "wcoj path" true ((L.Engine.explain e sql).L.Engine.epath = L.Engine.Wcoj_path)
+
 let register_matrix e name triplets =
   let rows = Array.of_list (List.map (fun (i, _, _) -> i) triplets) in
   let cols = Array.of_list (List.map (fun (_, j, _) -> j) triplets) in
@@ -430,6 +444,7 @@ let () =
         [
           Alcotest.test_case "plan path selection" `Quick test_paths;
           Alcotest.test_case "explain fhw" `Quick test_explain_fhw;
+          Alcotest.test_case "dense self-join is not a gemv" `Quick test_dense_self_join_not_vector;
         ] );
       ( "edge-cases",
         [

@@ -204,6 +204,17 @@ let test_cache_eviction_and_disable () =
         ("smv", smv); ("smm", smm); ("dmv", dmv); ("dmm", dmm);
       ]
 
+(* Literals the plan keeps verbatim (here a divisor) are part of the plan
+   key, so two that agree in their first six digits must not share a
+   plan. *)
+let test_cache_key_exact () =
+  let e = matrix_engine () in
+  List.iter
+    (fun c ->
+      Helpers.check_against_oracle e
+        (Printf.sprintf "select m1.row, sum(m1.v / %s) as s from m m1 group by m1.row" c))
+    [ "1.234566"; "1.234574" ]
+
 (* ---- set_config invalidation: plan-relevant knobs flush, others keep
    the cache (the §VI-A hot-run protocol depends on the latter) ---- *)
 
@@ -351,6 +362,7 @@ let () =
           Alcotest.test_case "hit skips planning" `Quick test_cache_hit_skips_planning;
           Alcotest.test_case "eviction and capacity 0" `Quick test_cache_eviction_and_disable;
           Alcotest.test_case "set_config invalidation" `Quick test_set_config_invalidation;
+          Alcotest.test_case "verbatim literals key exactly" `Quick test_cache_key_exact;
         ] );
       ( "errors",
         [

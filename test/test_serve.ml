@@ -10,6 +10,8 @@ module Schema = Lh_storage.Schema
 module Dtype = Lh_storage.Dtype
 module Table = Lh_storage.Table
 module Pool = Lh_util.Pool
+module Obs = Lh_obs.Obs
+module Fault = Lh_fault.Fault
 
 let schema = Schema.create [ ("k", Dtype.Int, Schema.Key); ("v", Dtype.Float, Schema.Annotation) ]
 
@@ -273,6 +275,162 @@ let test_concurrent_reader_vs_ingest () =
   Alcotest.(check int) "live epochs" 1 (List.length (Serve.epochs svc));
   Serve.close svc
 
+(* ---- indexes are shared across sessions and epochs ---- *)
+
+(* A 1600-row sparse matrix [m] and the generation-0 [t], one domain. *)
+let matrix_service () =
+  let eng = Engine.create ~config:{ Config.default with Config.domains = 1 } () in
+  let m = Lh_datagen.Matrices.banded ~dict:(Engine.dict eng) ~name:"m" ~n:400 ~nnz_per_row:4 () in
+  Engine.register eng m.Lh_datagen.Matrices.table;
+  ignore (Engine.register_rows eng ~name:"t" ~schema (rows 0));
+  (eng, Serve.create eng)
+
+let smm =
+  "select m1.row, m2.col, sum(m1.v * m2.v) as v from m m1, m m2 where m1.col = m2.row group by \
+   m1.row, m2.col"
+
+let m_join_t = "select m.row, sum(m.v * t.v) as s from m, t where m.col = t.k group by m.row"
+
+(* [f ()] with telemetry on, and the trie counters' deltas over it. *)
+let trie_counts f =
+  Obs.with_enabled true (fun () ->
+      let names = [ "trie.built"; "trie_cache.hit"; "trie_cache.miss" ] in
+      let value n = Obs.value (Obs.counter n) in
+      let before = List.map value names in
+      let r = f () in
+      let delta = List.map2 (fun n b -> (n, value n - b)) names before in
+      (r, fun n -> List.assoc n delta))
+
+let check_rows what expect = function
+  | Ok table -> Helpers.check_rows_equal what expect (Table.to_rows table)
+  | Error e -> Alcotest.failf "%s: %s" what (Serve.error_to_string e)
+
+let ingest svc name g =
+  match Serve.ingest_rows svc ~name ~schema (rows g) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "ingest %s: %s" name (Serve.error_to_string e)
+
+(* Four sessions on one epoch build the self-join's two tries once, then
+   read them from pool workers at once without building any. *)
+let test_sessions_share_tries () =
+  let eng, svc = matrix_service () in
+  let expect = Helpers.oracle_rows eng smm in
+  let sessions = List.init 4 (fun _ -> Serve.open_session svc) in
+  let (), n =
+    trie_counts (fun () -> List.iter (fun s -> check_rows "smm" expect (Serve.query s smm)) sessions)
+  in
+  Alcotest.(check int) "trie.built over four sessions" 2 (n "trie.built");
+  Pool.ensure_workers (Pool.global ()) 2;
+  let (), n =
+    trie_counts (fun () ->
+        List.map (fun s -> Serve.submit s smm) sessions
+        |> List.iter (fun tk -> check_rows "smm on a worker" expect (Result.map fst (Serve.await tk))))
+  in
+  Alcotest.(check int) "trie.built on workers" 0 (n "trie.built");
+  Serve.close svc
+
+(* An ingest of an unrelated table publishes an epoch whose [m] is the
+   same table value: the next query finds its tries. *)
+let test_unrelated_ingest_keeps_tries () =
+  let eng, svc = matrix_service () in
+  let expect = Helpers.oracle_rows eng smm in
+  let s = Serve.open_session svc in
+  let e0 = snd (Result.get_ok (Serve.query_epoch s smm)) in
+  ingest svc "u" 0;
+  let r, n = trie_counts (fun () -> Serve.query_epoch s smm) in
+  check_rows "smm after ingest" expect (Result.map fst r);
+  Alcotest.(check bool) "new epoch" true (snd (Result.get_ok r) > e0);
+  Alcotest.(check int) "trie.built" 0 (n "trie.built");
+  Alcotest.(check int) "trie_cache.miss" 0 (n "trie_cache.miss");
+  Serve.close svc
+
+(* A reader pinned while [t] is replaced four times. After each ingest a
+   fresh session joins [m] with the new [t]: only the new [t] is built,
+   while the pinned reader keeps reading generation 0 from its tries. *)
+let test_pinned_reader_across_ingests () =
+  let eng, svc = matrix_service () in
+  let reader = Serve.open_session svc in
+  let e0 = Serve.pin reader in
+  let expect0 = Helpers.oracle_rows eng m_join_t in
+  let (), n = trie_counts (fun () -> check_rows "reader g0" expect0 (Serve.query reader m_join_t)) in
+  Alcotest.(check int) "m and t built" 2 (n "trie.built");
+  let k = 4 in
+  let (), total =
+    trie_counts (fun () ->
+        for g = 1 to k do
+          ingest svc "t" g;
+          let expect = Helpers.oracle_rows eng m_join_t in
+          let fresh = Serve.open_session svc in
+          let (), n =
+            trie_counts (fun () -> check_rows "fresh session" expect (Serve.query fresh m_join_t))
+          in
+          Alcotest.(check int) (Printf.sprintf "g%d: only t built" g) 1 (n "trie.built");
+          Alcotest.(check int) (Printf.sprintf "g%d: m found" g) 1 (n "trie_cache.hit");
+          Serve.close_session fresh;
+          match Serve.query_epoch reader m_join_t with
+          | Ok (table, e) ->
+              Alcotest.(check int) "reader stays pinned" e0 e;
+              Helpers.check_rows_equal "pinned reader" expect0 (Table.to_rows table)
+          | Error e -> Alcotest.failf "reader: %s" (Serve.error_to_string e)
+        done)
+  in
+  Alcotest.(check int) "one build per version of t" k (total "trie.built");
+  Serve.close svc
+
+(* A trie build that faults in session A leaves nothing in the shared
+   memo: session B builds the tries itself and gets the oracle rows. *)
+let test_faulted_build_installs_nothing () =
+  let eng, svc = matrix_service () in
+  let expect = Helpers.oracle_rows eng smm in
+  let a = Serve.open_session svc and b = Serve.open_session svc in
+  Fun.protect ~finally:Fault.disarm_all (fun () ->
+      Fault.arm "trie.build.node";
+      match Serve.query a smm with
+      | Error (Serve.Engine_error (Engine.Error.Fault_injected site)) ->
+          Alcotest.(check string) "fault site" "trie.build.node" site
+      | Error e -> Alcotest.failf "unexpected error: %s" (Serve.error_to_string e)
+      | Ok _ -> Alcotest.fail "the armed trie build did not fault");
+  let (), n = trie_counts (fun () -> check_rows "session B" expect (Serve.query b smm)) in
+  Alcotest.(check bool) "B built" true (n "trie_cache.miss" >= 1);
+  Serve.close svc
+
+(* [m]'s owned aggregate carries a bound literal. *)
+let m_plus_c c =
+  Printf.sprintf
+    "select m.row, sum((m.v + %s) * t.v) as s from m, t where m.col = t.k group by m.row" c
+
+(* Two sessions whose aggregate literals agree in their first six digits
+   each get their own sums: the shared memo tells the tries apart. *)
+let test_literal_keys_exact () =
+  let eng, svc = matrix_service () in
+  List.iter
+    (fun c ->
+      let s = Serve.open_session svc in
+      check_rows c (Helpers.oracle_rows eng (m_plus_c c)) (Serve.query s (m_plus_c c)))
+    [ "1.234566"; "1.234574" ];
+  Serve.close svc
+
+(* The memo holds one trie per query shape: a hundred distinct aggregate
+   constants leave [m] near its size after the first two (each constant
+   kept would add a 1600-row trie). *)
+let test_literal_memo_bounded () =
+  let eng, svc = matrix_service () in
+  let s = Serve.open_session svc in
+  let m = Levelheaded.Catalog.find_exn (Engine.catalog eng) "m" in
+  let query i =
+    let sql = m_plus_c (string_of_int i) in
+    check_rows sql (Helpers.oracle_rows eng sql) (Serve.query s sql)
+  in
+  query 1;
+  query 2;
+  let before = Obj.reachable_words (Obj.repr m) in
+  for i = 3 to 100 do
+    query i
+  done;
+  let after = Obj.reachable_words (Obj.repr m) in
+  if after > before * 3 / 2 then Alcotest.failf "m grew from %d to %d words" before after;
+  Serve.close svc
+
 (* ---- qcheck: random interleavings ---- *)
 
 type op = Query of int | Ingest | Pin of int | Unpin of int
@@ -422,6 +580,18 @@ let () =
           Alcotest.test_case "submit/await" `Quick test_submit_await;
           Alcotest.test_case "reader races ingest" `Quick test_concurrent_reader_vs_ingest;
           Alcotest.test_case "shutdown drains a pinned session" `Quick test_shutdown_drains_pinned;
+        ] );
+      ( "shared-tries",
+        [
+          Alcotest.test_case "four sessions build each trie once" `Quick test_sessions_share_tries;
+          Alcotest.test_case "unrelated ingest rebuilds nothing" `Quick
+            test_unrelated_ingest_keeps_tries;
+          Alcotest.test_case "pinned reader across ingests of t" `Quick
+            test_pinned_reader_across_ingests;
+          Alcotest.test_case "a faulted build installs nothing" `Quick
+            test_faulted_build_installs_nothing;
+          Alcotest.test_case "aggregate literals key exactly" `Quick test_literal_keys_exact;
+          Alcotest.test_case "literal-bearing tries stay bounded" `Quick test_literal_memo_bounded;
         ] );
       ("interleavings", [ qcheck_interleavings ]);
       ( "pool-jobs",

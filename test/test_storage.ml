@@ -386,6 +386,71 @@ let test_csv_malformed_line () =
       check "sequential short row" ~domains:1 short_row "line 3";
       check "parallel short row" ~domains:4 short_row "line 3")
 
+(* ---- the table's index memo ---- *)
+
+let memo_table () =
+  let dict = Dict.create () in
+  let t =
+    Table.of_rows ~name:"m" ~schema:mini_schema ~dict
+      (List.init 4 (fun i ->
+           [ Dtype.VInt i; Dtype.VString "s"; Dtype.VDate 0; Dtype.VFloat (float_of_int i) ]))
+  in
+  (t, dict)
+
+let build_counted builds t () =
+  incr builds;
+  Trie.build ~keys:[| Table.icol t 0 |] ~rows:(Array.init t.Table.nrows Fun.id) ()
+
+(* Two snapshot copies of one table (as [Engine.snapshot] makes them) see
+   one memo: the trie built through one copy is the other's, and so is
+   the dense shape. *)
+let test_memo_shared_by_copies () =
+  let t, dict = memo_table () in
+  let a = Table.with_dict t ~dict:(Dict.copy dict) in
+  let b = Table.with_dict t ~dict:(Dict.copy dict) in
+  let builds = ref 0 in
+  let ta = Table.trie a ~shape:"s" ~key:"k0" (build_counted builds a) in
+  let tb = Table.trie b ~shape:"s" ~key:"k0" (build_counted builds b) in
+  Alcotest.(check int) "one build" 1 !builds;
+  Alcotest.(check bool) "one trie" true (ta == tb);
+  ignore (Table.trie t ~shape:"s" ~key:"k1" (build_counted builds t));
+  Alcotest.(check int) "another key builds" 2 !builds;
+  (* one trie per shape: k1 replaced k0 *)
+  ignore (Table.trie a ~shape:"s" ~key:"k0" (build_counted builds a));
+  Alcotest.(check int) "a replaced key builds again" 3 !builds;
+  Alcotest.(check bool) "dense shape shared" true
+    (Table.dense_rect a == Table.dense_rect b && Table.dense_rect t <> None);
+  (* a new table value starts empty *)
+  let t', _ = memo_table () in
+  ignore (Table.trie t' ~shape:"s" ~key:"k0" (build_counted builds t'));
+  Alcotest.(check int) "new table builds" 4 !builds
+
+(* A build that raises installs nothing: the next lookup builds. *)
+let test_memo_failed_build () =
+  let t, _ = memo_table () in
+  (match Table.trie t ~shape:"k" ~key:"k" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "failed build returned a trie"
+  | exception Failure _ -> ());
+  let builds = ref 0 in
+  ignore (Table.trie t ~shape:"k" ~key:"k" (build_counted builds t));
+  Alcotest.(check int) "rebuilt after failure" 1 !builds
+
+(* Racing misses on several domains: every caller gets the first
+   installed trie. *)
+let test_memo_race () =
+  let t, _ = memo_table () in
+  let builds = Atomic.make 0 in
+  let get () =
+    Table.trie t ~shape:"k" ~key:"k" (fun () ->
+        Atomic.incr builds;
+        Trie.build ~keys:[| Table.icol t 0 |] ~rows:(Array.init t.Table.nrows Fun.id) ())
+  in
+  let doms = List.init 3 (fun _ -> Domain.spawn get) in
+  let mine = get () in
+  let tries = mine :: List.map Domain.join doms in
+  Alcotest.(check bool) "one winner" true (List.for_all (fun x -> x == get ()) tries);
+  Alcotest.(check bool) "at least one build" true (Atomic.get builds >= 1)
+
 let () =
   Alcotest.run "lh_storage"
     [
@@ -423,5 +488,11 @@ let () =
           Alcotest.test_case "level_max" `Quick test_trie_level_max;
           Alcotest.test_case "empty" `Quick test_trie_empty;
           Alcotest.test_case "mults override" `Quick test_trie_mults_override;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "with_dict copies share one memo" `Quick test_memo_shared_by_copies;
+          Alcotest.test_case "a failed build installs nothing" `Quick test_memo_failed_build;
+          Alcotest.test_case "racing builds: first install wins" `Quick test_memo_race;
         ] );
     ]
