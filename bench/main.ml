@@ -29,7 +29,7 @@ let fig1 bi la =
       C.print_row (C.system_name s) [ cell bi; cell la ])
     [ C.Lh; C.Hyper_like; C.Monet_like; C.Lh_logicblox; C.Mkl_like ]
 
-let all_ids = [ "table2-bi"; "table2-la"; "table3"; "table4"; "fig1"; "fig5a"; "fig5b"; "fig5c"; "fig6"; "ablations"; "repeated"; "concurrency"; "layouts"; "graph"; "durability" ]
+let all_ids = [ "table2-bi"; "table2-la"; "table3"; "table4"; "fig1"; "fig5a"; "fig5b"; "fig5c"; "fig6"; "ablations"; "repeated"; "concurrency"; "layouts"; "graph"; "durability"; "epochs" ]
 
 let run_ids params ids =
   let wants id = List.mem id ids in
@@ -54,6 +54,7 @@ let run_ids params ids =
   if wants "layouts" then tagged "layouts" (fun () -> ignore (Exp_layouts.run params));
   if wants "graph" then tagged "graph" (fun () -> ignore (Exp_graph.run params));
   if wants "durability" then tagged "durability" (fun () -> ignore (Exp_durable.run params));
+  if wants "epochs" then tagged "epochs" (fun () -> Exp_epochs.run params);
   C.write_json ()
 
 (* ---------------- report: committed cells as markdown ----------------
@@ -559,7 +560,7 @@ let smoke params =
 open Cmdliner
 
 let ids_arg =
-  let doc = "Experiments to run: table2-bi table2-la table3 table4 fig1 fig5a fig5b fig5c fig6 ablations repeated concurrency layouts graph durability. Default: all." in
+  let doc = "Experiments to run: table2-bi table2-la table3 table4 fig1 fig5a fig5b fig5c fig6 ablations repeated concurrency layouts graph durability epochs. Default: all." in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let sf_arg =

@@ -1,7 +1,8 @@
-type t = { dict : Lh_storage.Dict.t; tables : (string, Lh_storage.Table.t) Hashtbl.t }
+module Smap = Map.Make (String)
 
-let create () = { dict = Lh_storage.Dict.create (); tables = Hashtbl.create 16 }
-let of_dict dict = { dict; tables = Hashtbl.create 16 }
+type t = { dict : Lh_storage.Dict.t; tables : Lh_storage.Table.t Smap.t }
+
+let create () = { dict = Lh_storage.Dict.create (); tables = Smap.empty }
 let dict t = t.dict
 
 let register t table =
@@ -9,19 +10,14 @@ let register t table =
     failwith
       (Printf.sprintf "Catalog.register: table %s uses a foreign dictionary"
          table.Lh_storage.Table.name);
-  Hashtbl.replace t.tables table.Lh_storage.Table.name table
+  { t with tables = Smap.add table.Lh_storage.Table.name table t.tables }
 
-let find t name = Hashtbl.find_opt t.tables name
+let find t name = Smap.find_opt name t.tables
 
 let find_exn t name =
   match find t name with
   | Some table -> table
   | None -> failwith (Printf.sprintf "Catalog: unknown table %S" name)
 
-let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort compare
-let tables t = List.map (fun name -> Hashtbl.find t.tables name) (names t)
-
-let load_csv t ~name ~schema ?domains ?sep path =
-  let table = Lh_storage.Table.load_csv ~name ~schema ~dict:t.dict ?domains ?sep path in
-  register t table;
-  table
+let names t = List.map fst (Smap.bindings t.tables)
+let tables t = List.map snd (Smap.bindings t.tables)

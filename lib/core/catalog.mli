@@ -1,20 +1,18 @@
-(** Table registry of one engine instance. All tables share one string
-    dictionary so string equi-joins compare int codes. *)
+(** Table registry of one engine instance: an immutable name → table map
+    over one string dictionary, so string equi-joins compare int codes. A
+    catalog is a value: an epoch snapshot holds one as it is, sharing every
+    table (and its indexes) with the engine it came from. *)
 
 type t
 
 val create : unit -> t
 
-val of_dict : Lh_storage.Dict.t -> t
-(** Empty catalog around an existing dictionary — the snapshot constructor:
-    tables repointed to [dict] (see {!Lh_storage.Table.with_dict}) pass
-    {!register}'s identity check. *)
-
 val dict : t -> Lh_storage.Dict.t
 
-val register : t -> Lh_storage.Table.t -> unit
-(** Replaces any previous table of the same name. Raises [Failure] when the
-    table was built against a different dictionary. *)
+val register : t -> Lh_storage.Table.t -> t
+(** The catalog with the table bound to its name, replacing any previous
+    table of that name. Raises [Failure] when the table was built against
+    a different dictionary. *)
 
 val find : t -> string -> Lh_storage.Table.t option
 val find_exn : t -> string -> Lh_storage.Table.t
@@ -23,14 +21,3 @@ val names : t -> string list
 val tables : t -> Lh_storage.Table.t list
 (** Every registered table, in {!names} (sorted) order — the
     deterministic enumeration the durable checkpoint writer snapshots. *)
-
-val load_csv :
-  t ->
-  name:string ->
-  schema:Lh_storage.Schema.t ->
-  ?domains:int ->
-  ?sep:char ->
-  string ->
-  Lh_storage.Table.t
-(** Ingest a delimited file and register the result. [domains] is forwarded
-    to {!Lh_storage.Table.load_csv}. *)

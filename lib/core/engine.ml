@@ -144,6 +144,19 @@ let wrap f = unwrap (caught ~finish:no_profile f)
 
 (* ------------------------------------------------------------------ *)
 
+(* Only the knobs that shape the plan itself (hypergraph, GHD, attribute
+   order) are recorded with a plan. Execution-time knobs (domains, budget,
+   sorted_emit, capacity) aren't; blas_targeting isn't either because the
+   BLAS-vs-WCOJ dispatch is re-checked at bind time against the live
+   config. *)
+type shape = bool * Config.attr_order_policy * bool * bool
+
+let plan_shape (c : Config.t) =
+  ( c.Config.attribute_elimination,
+    c.Config.attr_order,
+    c.Config.relax_materialized_first,
+    c.Config.ghd_heuristics )
+
 type centry = { c_plan : plan; mutable c_used : int }
 
 and plan = {
@@ -151,7 +164,7 @@ and plan = {
   p_nparams : int;
   mutable p_lq : Logical.t;  (** unbound: filters/owners may hold [Param]s *)
   mutable p_wcoj : (Ghd.t * Executor.pnode) option;  (** [None] on the scan path *)
-  mutable p_epoch : int;
+  mutable p_shape : shape;  (** the knobs [p_lq] and [p_wcoj] were planned under *)
 }
 
 (* Accumulator for the in-flight query's profile: pipeline stages fill it
@@ -167,11 +180,11 @@ type prof_acc = {
 }
 
 type t = {
-  cat : Catalog.t;
+  mutable cat : Catalog.t;
   mutable cfg : Config.t;
   plans : (string, centry) Hashtbl.t;  (** normalized-AST text -> plan *)
   mutable plan_tick : int;  (** logical clock for LRU eviction *)
-  mutable epoch : int;  (** bumped on catalog / plan-relevant config change *)
+  mutable epoch : int;  (** generation: bumped on catalog / plan-shaping config change *)
   mutable last_prof : Profile.t option;
   mutable prof_sink : (Profile.t -> unit) option;
   mutable prof : prof_acc option;  (** in-flight accumulator *)
@@ -208,49 +221,37 @@ let catalog t = t.cat
 
 let reset_plan_cache t = Hashtbl.reset t.plans
 
-(* Only the knobs that shape the plan itself (hypergraph, GHD, attribute
-   order) invalidate cached plans. Execution-time knobs (domains, budget,
-   sorted_emit, capacity) don't; blas_targeting doesn't either because the
-   BLAS-vs-WCOJ dispatch is re-checked at bind time against the live
-   config. *)
-let plan_relevant (c : Config.t) =
-  ( c.Config.attribute_elimination,
-    c.Config.attr_order,
-    c.Config.relax_materialized_first,
-    c.Config.ghd_heuristics )
-
-(* Plans capture table values and config knobs: a change flushes them and
-   bumps the epoch, so live statements re-plan. Indexes live on tables. *)
-let new_epoch t =
-  Hashtbl.reset t.plans;
-  t.epoch <- t.epoch + 1
+(* Plans do not depend on the epoch: each checks [current] when used. *)
+let new_epoch t = t.epoch <- t.epoch + 1
 
 let set_config t cfg =
-  let changed = plan_relevant cfg <> plan_relevant t.cfg in
+  let changed = plan_shape cfg <> plan_shape t.cfg in
   t.cfg <- cfg;
   if changed then new_epoch t
 
 let register t table =
   new_epoch t;
-  Catalog.register t.cat table
+  t.cat <- Catalog.register t.cat table
 let dict t = Catalog.dict t.cat
 
 (* Ingest entry points wrap like the query entry points do, so an aborted
    load (bad row, injected fault) surfaces as a typed [Error] with the
-   catalog unchanged: the plans are dropped up front (cheap and
-   idempotent) and the table is only registered after a fully successful
-   build. *)
+   catalog unchanged: the table is only registered after a fully
+   successful build. *)
 let register_rows t ~name ~schema rows =
   wrap (fun () ->
       new_epoch t;
-      let table = T.of_rows ~name ~schema ~dict:(Catalog.dict t.cat) rows in
-      Catalog.register t.cat table;
+      let table = T.of_rows ~name ~schema ~dict:(dict t) rows in
+      t.cat <- Catalog.register t.cat table;
       table)
 
 let load_csv t ~name ~schema ?sep path =
   wrap (fun () ->
       new_epoch t;
-      Catalog.load_csv t.cat ~name ~schema ~domains:(max 1 t.cfg.Config.domains) ?sep path)
+      let domains = max 1 t.cfg.Config.domains in
+      let table = T.load_csv ~name ~schema ~dict:(dict t) ~domains ?sep path in
+      t.cat <- Catalog.register t.cat table;
+      table)
 
 (* Durable-checkpoint writer (see Lh_durable.Store): every relation
    decoded back to rows in deterministic (sorted-name) order. Recovery
@@ -267,36 +268,25 @@ type snapshot = { snap_epoch : int; snap_cat : Catalog.t; snap_cfg : Config.t }
 
 let epoch t = t.epoch
 
-(* Freeze the current catalog: one deep dictionary copy, every table
-   repointed at it. Table columns are immutable after construction, so the
-   snapshot shares them (and the tables' index memos); only the dictionary
-   — the one structure ingest keeps mutating — is copied. Must be called
-   with no ingest in flight (the serving layer serializes writers). *)
-let snapshot t =
-  let dict = Lh_storage.Dict.copy (Catalog.dict t.cat) in
-  let cat = Catalog.of_dict dict in
-  List.iter
-    (fun name -> Catalog.register cat (T.with_dict (Catalog.find_exn t.cat name) ~dict))
-    (Catalog.names t.cat);
-  { snap_epoch = t.epoch; snap_cat = cat; snap_cfg = t.cfg }
+(* The catalog is an immutable map of immutable tables over the shared,
+   append-only dictionary: a snapshot keeps it as it is. *)
+let snapshot t = { snap_epoch = t.epoch; snap_cat = t.cat; snap_cfg = t.cfg }
 
 let snapshot_epoch s = s.snap_epoch
 
-(* A read-only view engine over a snapshot: a private plan cache and a
-   private catalog (so a [query_into] on one view cannot race another),
-   sharing the snapshot's frozen dictionary and table values, and so their
-   indexes. The budget is cloned — its per-run cells are mutable and views
-   execute concurrently. The view's
-   epoch is pinned to the snapshot's, so prepared statements created on a
-   view never spuriously revalidate. *)
+(* Cached plans stay: each is checked against the new catalog when next
+   used. *)
+let set_snapshot t snap =
+  t.cat <- snap.snap_cat;
+  t.epoch <- snap.snap_epoch
+
+(* The budget is cloned: its per-run cells are mutable and views execute
+   concurrently. *)
 let of_snapshot ?config snap =
-  let cat = Catalog.of_dict (Catalog.dict snap.snap_cat) in
-  List.iter
-    (fun name -> Catalog.register cat (Catalog.find_exn snap.snap_cat name))
-    (Catalog.names snap.snap_cat);
   let cfg = Option.value config ~default:snap.snap_cfg in
-  let cfg = { cfg with Config.budget = Lh_util.Budget.clone cfg.Config.budget } in
-  { (create ~config:cfg ()) with cat; epoch = snap.snap_epoch }
+  let t = create ~config:{ cfg with Config.budget = Lh_util.Budget.clone cfg.Config.budget } () in
+  set_snapshot t snap;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Per-query profiles                                                   *)
@@ -538,8 +528,10 @@ let parse sql =
 (* GHD and attribute order are computed on the unbound (parameterized)
    plan: [Logical.bind_params] cannot change the hypergraph shape, so both
    stay valid for every binding. The BLAS decision does depend on bound
-   filter values, so it is made at bind time instead. *)
+   filter values, so it is made at bind time instead. Every plan build,
+   first or re-plan, passes the [engine.prepare] fault site. *)
 let translate_and_plan t ast =
+  Lh_fault.Fault.hit fault_prepare;
   let lq =
     Obs.span "translate" (fun () ->
         Logical.translate t.cat ~attribute_elimination:t.cfg.Config.attribute_elimination ast)
@@ -561,7 +553,6 @@ let translate_and_plan t ast =
   (lq, wcoj)
 
 let make_plan t ast =
-  Lh_fault.Fault.hit fault_prepare;
   let nparams =
     let ps = Ast.query_params ast in
     let n = List.length ps in
@@ -571,16 +562,26 @@ let make_plan t ast =
     n
   in
   let lq, wcoj = translate_and_plan t ast in
-  { p_ast = ast; p_nparams = nparams; p_lq = lq; p_wcoj = wcoj; p_epoch = t.epoch }
+  { p_ast = ast; p_nparams = nparams; p_lq = lq; p_wcoj = wcoj; p_shape = plan_shape t.cfg }
 
-(* The catalog (or a plan-shaping config knob) changed under this plan:
-   transparently re-translate and re-plan against the current state. *)
+(* A plan stays valid while the catalog maps every table it bound to that
+   same value, under the same plan-shaping knobs: tables are immutable, so
+   nothing else it read can have changed. *)
+let current t plan =
+  plan.p_shape = plan_shape t.cfg
+  && List.for_all
+       (fun (_, tb) ->
+         match Catalog.find t.cat tb.T.name with Some now -> now == tb | None -> false)
+       plan.p_lq.Logical.bindings
+
+(* A prepared statement whose plan is no longer [current] is re-translated
+   and re-planned in place against the engine's state. *)
 let revalidate t plan =
-  if plan.p_epoch <> t.epoch then begin
+  if not (current t plan) then begin
     let lq, wcoj = translate_and_plan t plan.p_ast in
     plan.p_lq <- lq;
     plan.p_wcoj <- wcoj;
-    plan.p_epoch <- t.epoch
+    plan.p_shape <- plan_shape t.cfg
   end
 
 let evict_if_full t =
@@ -619,15 +620,16 @@ let plan_query t ast =
     else begin
       t.plan_tick <- t.plan_tick + 1;
       match Hashtbl.find_opt t.plans key with
-      | Some e ->
+      | Some e when current t e.c_plan ->
           Obs.incr c_plan_hit;
           note_cache t "hit";
           e.c_used <- t.plan_tick;
           e.c_plan
-      | None ->
+      | found ->
+          (* Absent, or stale: a stale entry is replaced under its key. *)
           Obs.incr c_plan_miss;
           note_cache t "miss";
-          evict_if_full t;
+          if Option.is_none found then evict_if_full t;
           let plan = make_plan t norm in
           (* Between building the plan and publishing it: a fault here (or
              any exception out of [make_plan] above) must leave the cache
@@ -650,7 +652,6 @@ let bind t plan params =
       (if plan.p_nparams = 1 then "" else "s")
       ngiven;
   Lh_fault.Fault.hit fault_bind;
-  revalidate t plan;
   let values = Array.of_list params in
   let lookup i =
     if i >= 1 && i <= Array.length values then Normalize.literal_of_value values.(i - 1)
@@ -689,6 +690,7 @@ let run t req k =
             | Query sql -> plan_query t (parse sql)
             | Exec (s, params) ->
                 note_cache t "prepared";
+                revalidate t s.s_plan;
                 (s.s_plan, params)
           in
           let lq, decided = bind t plan params in

@@ -34,11 +34,13 @@
     same normalize → plan → bind → execute path. Repeating a query shape with different constants only re-binds the
     constants; selectivity-dependent choices (BLAS-vs-WCOJ dispatch,
     equality-selection weights) are re-checked cheaply at bind time.
-    Cached plans are invalidated by {!register} / {!register_rows} /
-    {!load_csv}, and by {!set_config} when a plan-shaping knob changes.
-    Hits/misses/evictions are observable as the [plan_cache.*] counters.
-    Tries and dense shapes are not the engine's: they are memoized on the
-    table value ({!Lh_storage.Table.trie}), so nothing else is flushed. *)
+    A plan stays valid while the catalog maps every table it bound to the
+    {e same} value ([==]) and the plan-shaping knobs (see {!set_config})
+    are unchanged; otherwise its next use re-plans it in place, and a
+    stale cache entry counts as a [plan_cache.miss], so a {!register}
+    re-plans only the plans that read the replaced table. Hits, misses and
+    evictions are the [plan_cache.*] counters. Tries and dense shapes are
+    memoized on the table value ({!Lh_storage.Table.trie}). *)
 
 type t
 
@@ -85,11 +87,11 @@ val create : ?config:Config.t -> unit -> t
 val config : t -> Config.t
 
 val set_config : t -> Config.t -> unit
-(** Swap the configuration. Flushes cached plans (and revalidates live
-    prepared statements on their next execution) iff a plan-shaping knob
+(** Swap the configuration. Bumps {!epoch} iff a plan-shaping knob
     changed: [attribute_elimination], [attr_order],
-    [relax_materialized_first] or [ghd_heuristics]. Table indexes (tries,
-    dense shapes) do not depend on the configuration and are kept. *)
+    [relax_materialized_first] or [ghd_heuristics]. A plan made under
+    other values of these knobs re-plans on its next use; nothing is
+    flushed. *)
 
 val catalog : t -> Catalog.t
 
@@ -107,34 +109,37 @@ val dump : t -> (string * Lh_storage.Schema.t * Lh_storage.Dtype.value list list
 
 (** {2 Snapshots}
 
-    A snapshot freezes the engine's catalog at one epoch: a deep copy of
-    the shared string dictionary plus the (immutable) table buffers
-    repointed at it. {!of_snapshot} turns a snapshot into a read-only view
-    engine with a private plan cache, safe to query from another domain
-    while the original engine keeps ingesting. The table values, and so
-    their indexes, are shared. This is the storage half of the serving
-    layer's epoch-pinned reads (see [Lh_serve]). *)
+    A snapshot is the engine's catalog value at one epoch. Tables are
+    immutable and the dictionary is append-only and shared
+    ({!Lh_storage.Dict}), so it copies nothing and holds the engine's own
+    table values and indexes. A view engine ({!of_snapshot}) queries it
+    from another domain while the engine keeps ingesting. This is the
+    storage half of the serving layer's epoch-pinned reads ([Lh_serve]). *)
 
 type snapshot
 
 val epoch : t -> int
-(** Monotone generation counter: bumped by {!register} / {!register_rows}
-    / {!load_csv} and by {!set_config} when a plan-shaping knob changes. *)
+(** Generation number naming epochs: bumped by {!register} /
+    {!register_rows} / {!load_csv} and by {!set_config} when a
+    plan-shaping knob changes. Plans do not depend on it. *)
 
 val snapshot : t -> snapshot
-(** Freeze the current catalog. O(dictionary size); table buffers are
-    shared, not copied. The caller must ensure no ingest runs during the
-    freeze. *)
+(** The current catalog. O(1). *)
 
 val snapshot_epoch : snapshot -> int
 (** The {!epoch} the snapshot was taken at. *)
 
+val set_snapshot : t -> snapshot -> unit
+(** Point a view engine at another snapshot of the same engine: its
+    catalog and {!epoch} become the snapshot's. Its configuration, cached
+    plans and prepared statements stay; a plan that read a table the
+    snapshot replaced re-plans on its next use. O(1). *)
+
 val of_snapshot : ?config:Config.t -> snapshot -> t
-(** A view engine over a frozen snapshot: a private plan cache, a private
-    catalog, a cloned budget ({!Lh_util.Budget.clone}), and
-    [epoch] pinned to {!snapshot_epoch}. Many views of the same snapshot
-    may execute queries concurrently; do not ingest into a view. [config]
-    defaults to the source engine's configuration at freeze time. *)
+(** {!create} then {!set_snapshot}: a view engine with a private plan
+    cache and a cloned budget ({!Lh_util.Budget.clone}). Views may query
+    concurrently; do not ingest into a view (the dictionary has one
+    writer). [config] defaults to the engine's at the snapshot. *)
 
 val query_result : t -> string -> (Lh_storage.Table.t, Error.t) result
 (** The canonical one-shot entry point: parse and execute; the result
@@ -158,8 +163,8 @@ val semirings : unit -> string list
 
 val query_into : t -> name:string -> string -> Lh_storage.Table.t
 (** Like {!query} but names the result table [name] and registers it in
-    the catalog so later queries can read it. Registration invalidates
-    cached plans (the catalog changed), not other tables' indexes. *)
+    the catalog so later queries can read it. Only plans that read an
+    earlier table of that name re-plan. *)
 
 val query_analyze : t -> string -> Lh_storage.Table.t * explain * Lh_obs.Report.t
 (** [EXPLAIN ANALYZE]: runs the query with telemetry enabled for exactly
@@ -181,8 +186,8 @@ type stmt
     hypergraph, GHD-decomposed and attribute-ordered exactly once.
     Executing it only binds parameter values (re-checking the cheap
     selectivity-dependent decisions) and runs. A statement survives
-    catalog and config changes: it transparently re-plans when the engine
-    state it was prepared under has moved on. *)
+    catalog and config changes: it transparently re-plans when a table it
+    read was replaced or a plan-shaping knob changed, and only then. *)
 
 val prepare : t -> string -> stmt
 (** Parse and plan a parameterized statement. Parameters are written

@@ -45,11 +45,11 @@ type obs = {
 
 let sql_of_ast ast = Format.asprintf "%a" Ast.pp_query ast
 
-(* The writer churns [m_a]: same shape as the dataset's build, but a
-   deterministic function of (seed, generation) so the replay oracle can
-   reconstruct any epoch's exact catalog state. Pure ints/floats — no
-   dictionary growth — so string codes agree across rebuilds by
-   construction. *)
+(* Writer generation [g] replaces [m_a] (same shape as the dataset's
+   build), then [z_a], whose tags are 256 strings no earlier epoch
+   interned. Both are deterministic functions of (seed, generation), so the
+   replay oracle can reconstruct any epoch's exact catalog state, interning
+   the same strings in the same order, so string codes agree. *)
 let ma_schema =
   Schema.create
     [ ("row", Dtype.Int, Schema.Key); ("col", Dtype.Int, Schema.Key);
@@ -63,13 +63,30 @@ let writer_rows ~seed g =
       [ Dtype.VInt (Prng.int rng 7); Dtype.VInt (Prng.int rng 7);
         Dtype.VFloat (float_of_int (Prng.int_in rng (-4) 4)) ])
 
+let za_schema =
+  Schema.create [ ("tag", Dtype.String, Schema.Key); ("n", Dtype.Int, Schema.Annotation) ]
+
+let za_rows g =
+  List.init 256 (fun i -> [ Dtype.VString (Printf.sprintf "z%d_%d" g i); Dtype.VInt (i mod 7) ])
+
+let writer_batches ~seed g =
+  [ ("m_a", ma_schema, writer_rows ~seed g); ("z_a", za_schema, za_rows g) ]
+
+(* The dataset plus generation 0 of [z_a]. *)
+let base () = Dataset.oracle ~base:(Dataset.build ()) [ ("z_a", za_schema, za_rows 0) ]
+
 let persist_sql = "select sum(v) as s from m_a"
+
+(* Looks up and decodes [z_a]'s tags while the writer interns new ones.
+   The literal is unknown before generation 2, in a row at 2, and interned
+   but in no row after. *)
+let strings_sql = "select tag, sum(n) as n from z_a where tag <> 'z2_7' group by tag"
 
 let wait_until f = while not (f ()) do Domain.cpu_relax () done
 
 let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
-  let eng = Dataset.build () in
-  let profile = Dataset.profile eng in
+  let profile = Dataset.profile (Dataset.build ()) in
+  let eng = base () in
   (* Views and replays both run single-domain: concurrency in this
      harness comes from reader domains, and keeping every evaluation
      sequential makes "bit-identical" a fair demand even when the
@@ -80,7 +97,7 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
     Serve.create ~config:view_cfg ~max_sessions:(max 8 (domains + 1)) eng
   in
   let spec = Gen.default_spec in
-  (* epoch id -> writer generation (how many ingests preceded it) *)
+  (* epoch id -> how many writer batches preceded it *)
   let gen_of = Hashtbl.create 8 in
   Hashtbl.replace gen_of (Serve.current_epoch svc) 0;
   let completed = Atomic.make 0 in
@@ -133,6 +150,9 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
            ignore (Serve.pin s);
          let ast, _shape = Gen.generate profile ~seed ~index spec in
          let sql = sql_of_ast ast in
+         if i mod 3 = 1 then
+           record ~index ~kind:"adhoc" ~sql:strings_sql ~values:[]
+             (Serve.query_epoch s strings_sql);
          if i land 1 = 0 then
            record ~index ~kind:"adhoc" ~sql ~values:[]
              (Serve.query_epoch s sql)
@@ -171,14 +191,16 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
   let writer_fails = ref [] in
   for g = 1 to ingests do
     wait_until (fun () -> Atomic.get completed >= g * free / (ingests + 1));
-    match Serve.ingest_rows svc ~name:"m_a" ~schema:ma_schema (writer_rows ~seed g) with
-    | Ok e ->
-        Hashtbl.replace gen_of e g;
-        Atomic.incr published;
-        progress (Printf.sprintf "epoch %d published (generation %d)" e g)
-    | Error err ->
-        fail writer_fails ~domain:(-1) ~index:g ~kind:"ingest" ~sql:"" ~epoch:(-1)
-          (Serve.error_to_string err)
+    List.iter
+      (fun (name, schema, rows) ->
+        match Serve.ingest_rows svc ~name ~schema rows with
+        | Ok e ->
+            Hashtbl.replace gen_of e (Atomic.fetch_and_add published 1 + 1);
+            progress (Printf.sprintf "epoch %d published (generation %d)" e g)
+        | Error err ->
+            fail writer_fails ~domain:(-1) ~index:g ~kind:"ingest" ~sql:"" ~epoch:(-1)
+              (Serve.error_to_string err))
+      (writer_batches ~seed g)
   done;
   Atomic.set writer_done true;
   let per_reader = List.map Domain.join readers in
@@ -195,10 +217,10 @@ let run ?(progress = fun _ -> ()) ~seed ~domains ~per_domain ~ingests () =
     | Some e -> e
     | None ->
         let acked =
-          List.init (Hashtbl.find gen_of epoch) (fun k ->
-              ("m_a", ma_schema, writer_rows ~seed (k + 1)))
+          List.concat_map (writer_batches ~seed) (List.init ingests succ)
+          |> List.filteri (fun k _ -> k < Hashtbl.find gen_of epoch)
         in
-        let o = Dataset.oracle ~base:(Dataset.build ()) acked in
+        let o = Dataset.oracle ~base:(base ()) acked in
         L.Engine.set_config o { (L.Engine.config o) with L.Config.domains = 1 };
         Hashtbl.replace oracles epoch o;
         o

@@ -3,8 +3,10 @@
     [run] stands up a {!Lh_serve.Serve} service over the pinned fuzzing
     dataset and drives it from [domains] reader domains — each issuing a
     mix of ad-hoc, one-shot-prepared and long-lived-prepared generated
-    queries — while the main domain ingests fresh generations of the
-    [m_a] relation through the service, gated on reader progress so that
+    queries, and one that decodes the strings of [z_a] — while the main
+    domain ingests fresh generations of [m_a] and of [z_a] (256 strings
+    new to the shared dictionary, racing the readers' lookups and
+    decodes) through the service, gated on reader progress so that
     queries and epoch publications genuinely interleave.
 
     Every query records the epoch id it actually ran under

@@ -91,7 +91,7 @@ and session = {
   s_id : int;
   s_svc : t;
   s_lock : Mutex.t;
-  mutable s_views : (int * Engine.t) list;  (* epoch id -> view engine *)
+  s_view : Engine.t;  (* pointed at the epoch of the session's running read *)
   mutable s_pin : epoch option;
   mutable s_outstanding : int;
   mutable s_closed : bool;
@@ -200,25 +200,6 @@ let pin_for_query s =
       e.e_pins <- e.e_pins + 1;
       e)
 
-(* One view engine per (session, epoch): a private plan cache, so repeated
-   shapes hit warm plans. Tries live on the table values, shared by every
-   session and epoch that holds them. Called with [s_lock] held. Views of
-   reclaimed epochs are pruned as newer ones are created. *)
-let view_for s e =
-  match List.assoc_opt e.e_id s.s_views with
-  | Some v -> v
-  | None ->
-      let v = Engine.of_snapshot ~config:s.s_svc.view_cfg e.e_snap in
-      (match s.s_svc.slow_log with
-      | Some sink -> Engine.set_profile_sink v (Some sink)
-      | None -> ());
-      let live_ids =
-        locked s.s_svc.lock (fun () -> List.map (fun e -> e.e_id) s.s_svc.live)
-      in
-      s.s_views <-
-        (e.e_id, v) :: List.filter (fun (id, _) -> List.mem id live_ids) s.s_views;
-      v
-
 (* Unpin after a query. A retire fault surfaces to this caller — its
    query may have succeeded, but the crash-only contract only promises a
    typed error to the one affected session; the epoch merely stays live
@@ -231,13 +212,15 @@ let unpin_after t e result =
   | () -> result
   | exception exn -> Result.Error (error_of_exn exn)
 
-(* The one step of every read: pin the epoch, run [f] on its id and the
-   session's view of it, classify, unpin. Called with [s_lock] held;
-   never raises. *)
+(* The one step of every read: pin the epoch, point the session's view at
+   it, run [f], classify, unpin. The view's plans and prepared statements
+   survive the move; each re-plans only if a table it read was replaced.
+   Called with [s_lock] held; never raises. *)
 let on_epoch s f =
   let e = pin_for_query s in
+  if Engine.epoch s.s_view <> e.e_id then Engine.set_snapshot s.s_view e.e_snap;
   let result =
-    match f e.e_id (view_for s e) with
+    match f s.s_view with
     | Ok x -> Ok (x, e.e_id)
     | Result.Error err -> Result.Error (Engine_error err)
     | exception exn -> Result.Error (error_of_exn exn)
@@ -258,7 +241,7 @@ let admitted s f =
             (fun () -> try locked s.s_lock f with exn -> Result.Error (error_of_exn exn)))
 
 let admitted_now s f = Result.bind (admitted s f) (fun job -> job ())
-let read s sql () = on_epoch s (fun _ v -> Engine.query_result v sql)
+let read s sql () = on_epoch s (fun v -> Engine.query_result v sql)
 let query_epoch s sql = admitted_now s (read s sql)
 let query s sql = Result.map fst (query_epoch s sql)
 
@@ -297,39 +280,22 @@ let submit s sql =
 (* ------------------------------------------------------------------ *)
 (* Prepared statements                                                 *)
 
-type prepared = {
-  pr_s : session;
-  pr_sql : string;
-  mutable pr_cache : (int * Engine.stmt) option;  (* epoch id it was planned under *)
-}
-
-(* Plan (or re-plan) [p] against epoch [id]'s view [v]. A statement
-   planned under an older epoch is silently re-prepared — the
-   service-level analogue of Engine's epoch-based statement
-   revalidation. Called with [s_lock] held. *)
-let stmt_for p id v =
-  match p.pr_cache with
-  | Some (cached, st) when cached = id -> Ok st
-  | _ ->
-      Result.map
-        (fun st ->
-          p.pr_cache <- Some (id, st);
-          st)
-        (Engine.prepare_result v p.pr_sql)
+(* A statement on the session's view: it revalidates itself against the
+   epoch the view points at when it runs. *)
+type prepared = { pr_s : session; pr_stmt : Engine.stmt }
 
 let prepare s sql =
   locked s.s_lock (fun () ->
       let t = s.s_svc in
       if locked t.lock (fun () -> t.closed || s.s_closed) then Result.Error (Closed "session")
       else
-        let p = { pr_s = s; pr_sql = sql; pr_cache = None } in
-        Result.map (fun _ -> p) (on_epoch s (fun id v -> stmt_for p id v)))
+        Result.map
+          (fun (st, _) -> { pr_s = s; pr_stmt = st })
+          (on_epoch s (fun v -> Engine.prepare_result v sql)))
 
 let exec_prepared p params =
   let s = p.pr_s in
-  admitted_now s (fun () ->
-      on_epoch s (fun id v ->
-          Result.bind (stmt_for p id v) (fun st -> Engine.Stmt.exec_result st params)))
+  admitted_now s (fun () -> on_epoch s (fun _ -> Engine.Stmt.exec_result p.pr_stmt params))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -341,12 +307,16 @@ let open_session t =
         Obs.incr c_rejected;
         raise (Error (Overloaded (Printf.sprintf "max sessions %d reached" t.max_sessions)))
       end;
+      (* One view per session: the budget is cloned and the slow-log sink
+         installed once. *)
+      let view = Engine.of_snapshot ~config:t.view_cfg t.current.e_snap in
+      Engine.set_profile_sink view t.slow_log;
       let s =
         {
           s_id = t.next_session;
           s_svc = t;
           s_lock = Mutex.create ();
-          s_views = [];
+          s_view = view;
           s_pin = None;
           s_outstanding = 0;
           s_closed = false;
@@ -414,8 +384,7 @@ let close_session s =
                 e.e_pins <- e.e_pins - 1;
                 on_fault ~recover:ignored (fun () -> reclaim_locked t e)
             | None -> ()
-          end);
-      s.s_views <- [])
+          end))
 
 let close t =
   let sessions = locked t.lock (fun () ->

@@ -1,16 +1,23 @@
 (** Concurrent query service over epoch-pinned snapshots.
 
     One {!Engine.t} owns ingest (the writer); readers never touch it.
-    Every committed catalog state is frozen into an {e epoch} — an
-    immutable {!Levelheaded.Engine.snapshot} tagged with the writer's
-    generation counter. Sessions query view engines over these snapshots:
+    Every committed catalog state is an {e epoch} — a
+    {!Levelheaded.Engine.snapshot} tagged with the writer's generation
+    counter: the catalog's map of immutable tables as a value, over the
+    one append-only dictionary the writer and every epoch share, so
+    publishing an epoch copies nothing. Each session owns one view
+    engine:
 
     - every read (query, prepare, prepared exec, submitted query) runs
-      through one step: {e pin} the epoch it starts under, run on the
-      session's view of it, classify the outcome, unpin. Ingest that
-      commits mid-query publishes a {e new} epoch without disturbing the
-      pinned one, so the query observes exactly one catalog state end to
-      end;
+      through one step: {e pin} the epoch it starts under, point the
+      session's view at it ({!Levelheaded.Engine.set_snapshot}), run,
+      classify the outcome, unpin. Ingest that commits mid-query
+      publishes a {e new} epoch without disturbing the pinned one, so the
+      query observes exactly one catalog state end to end;
+    - the view keeps its plans across epochs: a plan, or a prepared
+      statement, re-plans only when a table it read was replaced. Tries
+      and dense shapes live on the table values, shared by every session
+      and epoch;
     - {!ingest_rows} / {!load_csv} run every fallible step before the
       writer's catalog changes, then register the table and publish one
       snapshot. A failed ingest (typed error, injected fault) has nothing
@@ -21,10 +28,11 @@
     Admission control sits on the existing budget machinery: a bounded
     service-wide admission queue and a per-session outstanding cap, both
     rejecting with typed {!error} [Overloaded]; per-query time/memory
-    limits come from [Config.budget], cloned per view so concurrent
-    queries meter independently. Asynchronous work is scheduled on the
-    shared domain pool's job lane ({!Lh_util.Pool.submit}) with one
-    round-robin group per session, so no session starves another.
+    limits come from [Config.budget], cloned once per session so
+    concurrent queries meter independently. Asynchronous work is
+    scheduled on the shared domain pool's job lane
+    ({!Lh_util.Pool.submit}) with one round-robin group per session, so
+    no session starves another.
 
     Knobs: [LH_MAX_SESSIONS] (default 8) and [LH_QUEUE_DEPTH] (default
     32) seed {!create}'s defaults.
@@ -70,7 +78,8 @@ val create :
 (** Wrap a writer engine and freeze its current catalog as the first
     epoch. The caller must stop using the engine directly for queries or
     ingest — the service owns it. [config] (default: the engine's)
-    configures the view engines; its [budget] is cloned per view.
+    configures the sessions' view engines; its [budget] is cloned per
+    session.
     [max_sessions] defaults to [LH_MAX_SESSIONS] (8), [queue_depth] — the
     service-wide cap on admitted-but-unfinished queries — to
     [LH_QUEUE_DEPTH] (32), [session_depth] — outstanding queries per
@@ -113,8 +122,7 @@ val open_session : t -> session
     {!close}. *)
 
 val close_session : session -> unit
-(** Releases the session's pin (if any) and its cached view engines.
-    Idempotent. *)
+(** Releases the session's pin (if any). Idempotent. *)
 
 val session_id : session -> int
 
@@ -164,9 +172,11 @@ val poll : 'a ticket -> 'a option
 type prepared
 
 val prepare : session -> string -> (prepared, error) result
-(** Parse and plan against the session's current view. The plan is
-    re-prepared transparently when a later execution runs under a newer
-    epoch (same revalidation discipline as [Engine.prepare]). *)
+(** Parse and plan on the session's view, at the epoch the session reads.
+    The statement lives on that view and revalidates itself like any
+    [Engine.prepare]d one: an execution under a newer epoch re-plans it
+    only when a table it reads was replaced there, and an unrelated
+    ingest re-plans nothing. *)
 
 val exec_prepared :
   prepared -> Lh_storage.Dtype.value list -> (Lh_storage.Table.t * int, error) result

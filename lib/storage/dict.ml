@@ -1,43 +1,37 @@
-type t = {
-  table : (string, int) Hashtbl.t;
-  mutable strings : string array;
-  mutable len : int;
-}
+(* One writer, many readers (see dict.mli). [strings] is republished after
+   every append, so a reader's [len] only covers filled slots; a grown
+   buffer is a fresh copy. *)
+type strings = { arr : string array; len : int }
+type t = { table : (string, int) Hashtbl.t; lock : Mutex.t; strings : strings Atomic.t }
 
-let create () = { table = Hashtbl.create 256; strings = Array.make 16 ""; len = 0 }
+let create () =
+  {
+    table = Hashtbl.create 256;
+    lock = Mutex.create ();
+    strings = Atomic.make { arr = Array.make 16 ""; len = 0 };
+  }
 
 let encode t s =
   match Hashtbl.find_opt t.table s with
   | Some code -> code
   | None ->
-      let code = t.len in
-      if t.len = Array.length t.strings then begin
-        let bigger = Array.make (2 * t.len) "" in
-        Array.blit t.strings 0 bigger 0 t.len;
-        t.strings <- bigger
-      end;
-      t.strings.(t.len) <- s;
-      t.len <- t.len + 1;
-      Hashtbl.replace t.table s code;
-      code
+      Mutex.protect t.lock (fun () ->
+          let { arr; len } = Atomic.get t.strings in
+          let arr = if len < Array.length arr then arr else Array.append arr (Array.make len "") in
+          arr.(len) <- s;
+          Atomic.set t.strings { arr; len = len + 1 };
+          Hashtbl.replace t.table s len;
+          len)
 
-let find t s = Hashtbl.find_opt t.table s
+let find t s = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table s)
 
 let merge_into ~into local =
-  let remap = Array.make local.len 0 in
-  for c = 0 to local.len - 1 do
-    remap.(c) <- encode into local.strings.(c)
-  done;
-  remap
-
-(* Deep copy for snapshot freezing: the copy shares no mutable cell with
-   the original, so readers of the copy never race a concurrent [encode]
-   on the live dictionary. Strings themselves are immutable and shared. *)
-let copy t =
-  { table = Hashtbl.copy t.table; strings = Array.copy t.strings; len = t.len }
+  let { arr; len } = Atomic.get local.strings in
+  Array.init len (fun c -> encode into arr.(c))
 
 let decode t code =
-  if code < 0 || code >= t.len then invalid_arg (Printf.sprintf "Dict.decode: unknown code %d" code);
-  t.strings.(code)
+  let { arr; len } = Atomic.get t.strings in
+  if code < 0 || code >= len then invalid_arg (Printf.sprintf "Dict.decode: unknown code %d" code);
+  arr.(code)
 
-let size t = t.len
+let size t = (Atomic.get t.strings).len

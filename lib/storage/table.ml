@@ -47,11 +47,6 @@ let create ~name ~schema ~dict cols =
     cols;
   { name; schema; nrows; cols; dict; memo = Atomic.make { tries = Smap.empty; dense = None } }
 
-(* Columns are immutable after [create]; repointing the dictionary is all a
-   snapshot needs — the int codes stay valid because [Dict.copy] preserves
-   code assignment, so the copy shares the memo too. *)
-let with_dict t ~dict = { t with dict }
-
 let memoize t ~find ~add ~hit ~miss build =
   match find (Atomic.get t.memo) with
   | Some v ->

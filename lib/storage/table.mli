@@ -11,10 +11,12 @@ type column = Icol of int array | Fcol of float array
 type memo
 (** The table's indexes (unfiltered tries, dense shape), built on first
     use and kept for the table's lifetime, as the paper builds tries at
-    load; a replaced table is a new value with an empty memo. Safe from
-    any domain. Sound because an index depends only on the columns and on
-    codes already in the dictionary: a string a {!with_dict} copy interns
-    later is held by no row, so a lookup that missed it stays right. *)
+    load; a replaced table is a new value with an empty memo. Tables are
+    never copied or repointed: every epoch, session and view that holds
+    the table holds this one value, and so shares its memo. Safe from
+    any domain. An index depends only on the columns and on codes already
+    in the append-only dictionary, so strings interned later leave it
+    right (see {!Dict}). *)
 
 type t = private {
   name : string;
@@ -31,12 +33,6 @@ val create : name:string -> schema:Schema.t -> dict:Dict.t -> column array -> t
 
 val of_rows : name:string -> schema:Schema.t -> dict:Dict.t -> Dtype.value list list -> t
 (** Convenience constructor for tests and small inputs. *)
-
-val with_dict : t -> dict:Dict.t -> t
-(** Same columns, different dictionary, the same {!memo}. Only meaningful
-    when [dict] preserves this table's code assignment (e.g. a
-    {!Dict.copy} of the original); used to freeze tables into immutable
-    snapshots. *)
 
 val trie : t -> shape:string -> key:string -> (unit -> Trie.t) -> Trie.t
 (** [trie t ~shape ~key build]: the trie memoized under [key], else

@@ -215,7 +215,7 @@ let test_cache_key_exact () =
         (Printf.sprintf "select m1.row, sum(m1.v / %s) as s from m m1 group by m1.row" c))
     [ "1.234566"; "1.234574" ]
 
-(* ---- set_config invalidation: plan-relevant knobs flush, others keep
+(* ---- set_config invalidation: plan-relevant knobs re-plan, others keep
    the cache (the §VI-A hot-run protocol depends on the latter) ---- *)
 
 let test_set_config_invalidation () =
@@ -233,6 +233,25 @@ let test_set_config_invalidation () =
   Alcotest.(check int) "plan-relevant knob flushes" 1 (cval "plan_cache.miss" flushed);
   Alcotest.(check int) "no stale hit" 0 (cval "plan_cache.hit" flushed);
   Alcotest.(check bool) "attribute ordering re-ran" true (has_span "plan.attr_order" flushed)
+
+(* A cached plan records the tables it read: registering another table
+   keeps it, replacing one of them re-plans it. *)
+let test_register_replans_readers () =
+  let e = matrix_engine () in
+  ignore (L.Engine.query e (smm 10.0));
+  ignore
+    (L.Engine.register_rows e ~name:"u" ~schema:Lh_datagen.Matrices.matrix_schema
+       (matrix_rows [ (0, 0, 1.0) ]));
+  let _, _, kept = L.Engine.query_analyze e (smm 10.0) in
+  Alcotest.(check int) "unrelated register: hit" 1 (cval "plan_cache.hit" kept);
+  Alcotest.(check int) "unrelated register: no miss" 0 (cval "plan_cache.miss" kept);
+  ignore
+    (L.Engine.register_rows e ~name:"m" ~schema:Lh_datagen.Matrices.matrix_schema
+       (matrix_rows [ (0, 1, 2.0); (1, 2, 3.0) ]));
+  let got, _, replanned = L.Engine.query_analyze e (smm 10.0) in
+  Alcotest.(check int) "replaced m: miss" 1 (cval "plan_cache.miss" replanned);
+  Alcotest.(check int) "replaced m: no stale hit" 0 (cval "plan_cache.hit" replanned);
+  Alcotest.(check int) "replaced m: new rows" 1 got.Table.nrows
 
 (* ---- live statements revalidate after catalog changes ---- *)
 
@@ -363,6 +382,7 @@ let () =
           Alcotest.test_case "eviction and capacity 0" `Quick test_cache_eviction_and_disable;
           Alcotest.test_case "set_config invalidation" `Quick test_set_config_invalidation;
           Alcotest.test_case "verbatim literals key exactly" `Quick test_cache_key_exact;
+          Alcotest.test_case "register re-plans only readers" `Quick test_register_replans_readers;
         ] );
       ( "errors",
         [

@@ -190,6 +190,48 @@ let test_prepared_revalidates () =
   exec 1;
   Serve.close svc
 
+(* Snapshots copy no dictionary: every epoch and view reads the writer's. *)
+let test_snapshots_share_dict () =
+  let eng = Engine.create () in
+  ignore (Engine.register_rows eng ~name:"t" ~schema (rows 0));
+  let a = Engine.snapshot eng in
+  ignore (Engine.register_rows eng ~name:"t" ~schema (rows 1));
+  let b = Engine.snapshot eng in
+  let d = Engine.dict eng in
+  Alcotest.(check bool) "snapshot a" true (Engine.dict (Engine.of_snapshot a) == d);
+  Alcotest.(check bool) "snapshot b" true (Engine.dict (Engine.of_snapshot b) == d)
+
+(* A reader pinned before the writer interns 'zeta' keeps its answers:
+   its table holds no row with the new code, so [=] matches nothing and
+   [<>] everything, as when the string was unknown. *)
+let test_pinned_reader_new_string () =
+  let sschema = Schema.create [ ("k", Dtype.Int, Schema.Key); ("s", Dtype.String, Schema.Annotation) ] in
+  let srows names = List.mapi (fun i n -> [ Dtype.VInt i; Dtype.VString n ]) names in
+  let eng = Engine.create ~config:{ Config.default with Config.domains = 1 } () in
+  ignore (Engine.register_rows eng ~name:"w" ~schema:sschema (srows [ "alpha"; "beta" ]));
+  let svc = Serve.create eng in
+  let reader = Serve.open_session svc in
+  let e0 = Serve.pin reader in
+  let q op = Printf.sprintf "select k, count(*) as c from w where s %s 'zeta' group by k" op in
+  let eq = q "=" and ne = q "<>" in
+  let rows_of sql s =
+    match Serve.query_epoch s sql with
+    | Ok (table, _) -> Table.to_rows table
+    | Error e -> Alcotest.failf "%s: %s" sql (Serve.error_to_string e)
+  in
+  let before = (rows_of eq reader, rows_of ne reader) in
+  (match Serve.ingest_rows svc ~name:"w" ~schema:sschema (srows [ "alpha"; "zeta" ]) with
+  | Ok e -> Alcotest.(check bool) "new epoch" true (e > e0)
+  | Error e -> Alcotest.failf "ingest: %s" (Serve.error_to_string e));
+  Alcotest.(check int) "no row equals zeta" 0 (List.length (fst before));
+  Alcotest.(check int) "every row differs from zeta" 2 (List.length (snd before));
+  Helpers.check_rows_equal "pinned =" (fst before) (rows_of eq reader);
+  Helpers.check_rows_equal "pinned <>" (snd before) (rows_of ne reader);
+  let fresh = Serve.open_session svc in
+  Helpers.check_rows_equal "fresh =" [ [ Dtype.VInt 1; Dtype.VInt 1 ] ] (rows_of eq fresh);
+  Helpers.check_rows_equal "fresh <>" [ [ Dtype.VInt 0; Dtype.VInt 1 ] ] (rows_of ne fresh);
+  Serve.close svc
+
 (* ---- async submission over the pool job lane ---- *)
 
 let test_submit_await () =
@@ -291,10 +333,13 @@ let smm =
 
 let m_join_t = "select m.row, sum(m.v * t.v) as s from m, t where m.col = t.k group by m.row"
 
-(* [f ()] with telemetry on, and the trie counters' deltas over it. *)
+(* [f ()] with telemetry on, and the trie and plan counters' deltas over
+   it. *)
 let trie_counts f =
   Obs.with_enabled true (fun () ->
-      let names = [ "trie.built"; "trie_cache.hit"; "trie_cache.miss" ] in
+      let names =
+        [ "trie.built"; "trie_cache.hit"; "trie_cache.miss"; "plan_cache.hit"; "plan_cache.miss" ]
+      in
       let value n = Obs.value (Obs.counter n) in
       let before = List.map value names in
       let r = f () in
@@ -431,6 +476,67 @@ let test_literal_memo_bounded () =
   if after > before * 3 / 2 then Alcotest.failf "m grew from %d to %d words" before after;
   Serve.close svc
 
+(* ---- plans survive epochs whose tables they do not read ---- *)
+
+(* One session: the query after an unrelated ingest reuses the view's
+   plan and the tables' tries. *)
+let test_unrelated_ingest_keeps_plan () =
+  let eng, svc = matrix_service () in
+  let expect = Helpers.oracle_rows eng smm in
+  let s = Serve.open_session svc in
+  check_rows "smm" expect (Serve.query s smm);
+  ingest svc "u" 0;
+  let r, n = trie_counts (fun () -> Serve.query s smm) in
+  check_rows "smm after ingest" expect r;
+  Alcotest.(check int) "plan_cache.miss" 0 (n "plan_cache.miss");
+  Alcotest.(check int) "plan_cache.hit" 1 (n "plan_cache.hit");
+  Alcotest.(check int) "trie.built" 0 (n "trie.built");
+  Serve.close svc
+
+(* A prepared statement re-plans only when a table it reads is replaced:
+   an unrelated ingest reaches no plan build (the [engine.prepare] site
+   every build passes), an ingest of [t] does, once, and the statement
+   then returns the new rows. *)
+let test_prepared_survives_unrelated () =
+  let _, svc = fresh_service () in
+  let s = Serve.open_session svc in
+  let p = Result.get_ok (Serve.prepare s "select sum(v) as s from t where k >= $1") in
+  let exec g = check_sum (Printf.sprintf "prepared g%d" g) g (Serve.exec_prepared p [ Dtype.VInt 0 ]) in
+  let plan_builds f =
+    Fun.protect ~finally:Fault.disarm_all (fun () ->
+        Fault.arm ~trigger:(Fault.Nth max_int) "engine.prepare";
+        f ();
+        Fault.hits "engine.prepare")
+  in
+  exec 0;
+  Alcotest.(check int) "unrelated ingest: no plan build" 0
+    (plan_builds (fun () ->
+         ingest svc "u" 5;
+         exec 0));
+  Alcotest.(check int) "ingest of t: one plan build" 1
+    (plan_builds (fun () ->
+         ingest svc "t" 1;
+         exec 1));
+  Serve.close svc
+
+(* With no pin, [t] replaced eight times, each followed by a query on it:
+   the superseded versions are unreachable but for at most one, which a
+   plan in the session's view may still hold. *)
+let test_old_tables_released () =
+  let eng, svc = fresh_service () in
+  let s = Serve.open_session svc in
+  let k = 8 in
+  let old = Weak.create k in
+  for g = 1 to k do
+    Weak.set old (g - 1) (Some (Levelheaded.Catalog.find_exn (Engine.catalog eng) "t"));
+    ingest svc "t" g;
+    check_sum (Printf.sprintf "g%d" g) g (Serve.query_epoch s q_sum)
+  done;
+  Gc.full_major ();
+  let alive = List.length (List.filter (Weak.check old) (List.init k Fun.id)) in
+  if alive > 1 then Alcotest.failf "%d of %d superseded versions of t still reachable" alive k;
+  Serve.close svc
+
 (* ---- qcheck: random interleavings ---- *)
 
 type op = Query of int | Ingest | Pin of int | Unpin of int
@@ -564,6 +670,10 @@ let () =
           Alcotest.test_case "pinned reads survive ingest" `Quick test_pinned_reads;
           Alcotest.test_case "retire on unpin" `Quick test_epoch_retire;
           Alcotest.test_case "failed ingest keeps epoch" `Quick test_ingest_error_keeps_epoch;
+          Alcotest.test_case "snapshots share the writer's dictionary" `Quick
+            test_snapshots_share_dict;
+          Alcotest.test_case "pinned reader vs a newly interned string" `Quick
+            test_pinned_reader_new_string;
           Alcotest.test_case "a failed ingest never becomes visible" `Quick
             test_failed_ingest_invisible;
         ] );
@@ -594,6 +704,14 @@ let () =
           Alcotest.test_case "literal-bearing tries stay bounded" `Quick test_literal_memo_bounded;
         ] );
       ("interleavings", [ qcheck_interleavings ]);
+      ( "plans",
+        [
+          Alcotest.test_case "unrelated ingest keeps the plan" `Quick
+            test_unrelated_ingest_keeps_plan;
+          Alcotest.test_case "prepared survives an unrelated ingest" `Quick
+            test_prepared_survives_unrelated;
+          Alcotest.test_case "superseded tables are released" `Quick test_old_tables_released;
+        ] );
       ( "pool-jobs",
         [
           Alcotest.test_case "group round-robin" `Quick test_pool_submit_fairness;

@@ -53,6 +53,56 @@ let test_dict_encode_decode () =
   Alcotest.(check (option int)) "find known" (Some a) (Dict.find d "alpha");
   Alcotest.(check (option int)) "find unknown" None (Dict.find d "gamma")
 
+(* One writer domain interns 200k fresh strings while two reader domains
+   decode every code below a size they read earlier and look up strings
+   known to be present: every answer is exact and nothing raises. *)
+let test_dict_concurrent_readers () =
+  let d = Dict.create () in
+  let base = 1000 and fresh = 200_000 in
+  let string_of c = if c < base then Printf.sprintf "p%d" c else Printf.sprintf "w%d" (c - base) in
+  for c = 0 to base - 1 do
+    ignore (Dict.encode d (string_of c))
+  done;
+  let done_ = Atomic.make false in
+  let writer () =
+    let bad = ref 0 in
+    for i = 0 to fresh - 1 do
+      if Dict.encode d (string_of (base + i)) <> base + i then incr bad
+    done;
+    Atomic.set done_ true;
+    !bad
+  in
+  let reader seed () =
+    let bad = ref 0 and rounds = ref 0 in
+    let rng = Random.State.make [| seed |] in
+    let round () =
+      let n = Dict.size d in
+      for c = 0 to n - 1 do
+        if not (String.equal (Dict.decode d c) (string_of c)) then incr bad
+      done;
+      for _ = 1 to 2000 do
+        let c = Random.State.int rng n in
+        if Dict.find d (string_of c) <> Some c then incr bad
+      done;
+      incr rounds
+    in
+    while not (Atomic.get done_) do
+      round ()
+    done;
+    round ();
+    (!bad, !rounds)
+  in
+  let readers = List.map (fun seed -> Domain.spawn (reader seed)) [ 1; 2 ] in
+  let bad_writes = Domain.join (Domain.spawn writer) in
+  Alcotest.(check int) "writer codes" 0 bad_writes;
+  List.iter
+    (fun dom ->
+      let bad, rounds = Domain.join dom in
+      Alcotest.(check int) "reader mismatches" 0 bad;
+      Alcotest.(check bool) "reader ran" true (rounds >= 1))
+    readers;
+  Alcotest.(check int) "size" (base + fresh) (Dict.size d)
+
 let qcheck_dict_roundtrip =
   Helpers.qtest "encode/decode roundtrip"
     QCheck2.Gen.(list_size (int_range 0 50) (string_size (int_range 0 10)))
@@ -401,25 +451,23 @@ let build_counted builds t () =
   incr builds;
   Trie.build ~keys:[| Table.icol t 0 |] ~rows:(Array.init t.Table.nrows Fun.id) ()
 
-(* Two snapshot copies of one table (as [Engine.snapshot] makes them) see
-   one memo: the trie built through one copy is the other's, and so is
-   the dense shape. *)
-let test_memo_shared_by_copies () =
-  let t, dict = memo_table () in
-  let a = Table.with_dict t ~dict:(Dict.copy dict) in
-  let b = Table.with_dict t ~dict:(Dict.copy dict) in
+(* Every holder of a table value (each epoch and session holds the same
+   one) sees one memo: the second lookup of a key finds the first one's
+   trie, and the dense shape is computed once. *)
+let test_memo_shared () =
+  let t, _ = memo_table () in
   let builds = ref 0 in
-  let ta = Table.trie a ~shape:"s" ~key:"k0" (build_counted builds a) in
-  let tb = Table.trie b ~shape:"s" ~key:"k0" (build_counted builds b) in
+  let ta = Table.trie t ~shape:"s" ~key:"k0" (build_counted builds t) in
+  let tb = Table.trie t ~shape:"s" ~key:"k0" (build_counted builds t) in
   Alcotest.(check int) "one build" 1 !builds;
   Alcotest.(check bool) "one trie" true (ta == tb);
   ignore (Table.trie t ~shape:"s" ~key:"k1" (build_counted builds t));
   Alcotest.(check int) "another key builds" 2 !builds;
   (* one trie per shape: k1 replaced k0 *)
-  ignore (Table.trie a ~shape:"s" ~key:"k0" (build_counted builds a));
+  ignore (Table.trie t ~shape:"s" ~key:"k0" (build_counted builds t));
   Alcotest.(check int) "a replaced key builds again" 3 !builds;
-  Alcotest.(check bool) "dense shape shared" true
-    (Table.dense_rect a == Table.dense_rect b && Table.dense_rect t <> None);
+  Alcotest.(check bool) "dense shape memoized" true
+    (Table.dense_rect t == Table.dense_rect t && Table.dense_rect t <> None);
   (* a new table value starts empty *)
   let t', _ = memo_table () in
   ignore (Table.trie t' ~shape:"s" ~key:"k0" (build_counted builds t'));
@@ -463,7 +511,11 @@ let () =
           qcheck_date_monotone;
         ] );
       ( "dict",
-        [ Alcotest.test_case "encode/decode" `Quick test_dict_encode_decode; qcheck_dict_roundtrip ]
+        [
+          Alcotest.test_case "encode/decode" `Quick test_dict_encode_decode;
+          qcheck_dict_roundtrip;
+          Alcotest.test_case "one writer, two reader domains" `Quick test_dict_concurrent_readers;
+        ]
       );
       ( "schema",
         [
@@ -491,7 +543,7 @@ let () =
         ] );
       ( "memo",
         [
-          Alcotest.test_case "with_dict copies share one memo" `Quick test_memo_shared_by_copies;
+          Alcotest.test_case "lookups share one memo" `Quick test_memo_shared;
           Alcotest.test_case "a failed build installs nothing" `Quick test_memo_failed_build;
           Alcotest.test_case "racing builds: first install wins" `Quick test_memo_race;
         ] );
