@@ -49,13 +49,16 @@ let relative ~baseline = function
    builds the tables' memoized tries), then [runs] hot measurements with min/max trimmed (the
    same trimmed mean as [Timing.measure]). A budget violation on any run
    reports oom / t/o. Also returns the raw per-run samples so cells can
-   report latency percentiles, not just the mean. *)
+   report latency percentiles, not just the mean, and the minor words a
+   hot run allocates (the mean over the hot runs; those of the warm-up
+   when it fails). *)
 let measure_samples ?budget ~runs f =
   let budget = Option.value budget ~default:Budget.unlimited in
   Budget.start budget;
+  let w0 = Gc.minor_words () in
   match f () with
-  | exception Budget.Out_of_memory_budget -> (Oom, [])
-  | exception Budget.Timed_out -> (Timeout, [])
+  | exception Budget.Out_of_memory_budget -> (Oom, [], Gc.minor_words () -. w0)
+  | exception Budget.Timed_out -> (Timeout, [], Gc.minor_words () -. w0)
   | _ -> (
       let samples = ref [] in
       let run () =
@@ -64,6 +67,8 @@ let measure_samples ?budget ~runs f =
         ignore (Sys.opaque_identity (f ()));
         samples := (Timing.monotonic_now () -. t0) :: !samples
       in
+      let w0 = Gc.minor_words () in
+      let words () = (Gc.minor_words () -. w0) /. float_of_int (max 1 (List.length !samples)) in
       match
         for _ = 1 to max 1 runs do
           run ()
@@ -81,11 +86,19 @@ let measure_samples ?budget ~runs f =
             else xs
           in
           let mean = List.fold_left ( +. ) 0.0 kept /. float_of_int (List.length kept) in
-          (Time mean, xs)
-      | exception Budget.Out_of_memory_budget -> (Oom, List.rev !samples)
-      | exception Budget.Timed_out -> (Timeout, List.rev !samples))
+          (Time mean, xs, words ())
+      | exception Budget.Out_of_memory_budget -> (Oom, List.rev !samples, words ())
+      | exception Budget.Timed_out -> (Timeout, List.rev !samples, words ()))
 
-let measure ?budget ~runs f = fst (measure_samples ?budget ~runs f)
+(* The minor words one more run of [f] allocates. *)
+let words_of f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let measure ?budget ~runs f =
+  let outcome, _, _ = measure_samples ?budget ~runs f in
+  outcome
 
 (* ---------------- engines over one dataset ---------------- *)
 
@@ -103,7 +116,11 @@ let system_name = function
    When [json_out] is set (bench --json FILE), every measured cell also
    performs one extra instrumented hot run and appends a record with the
    per-phase span breakdown and counter deltas, so the paper tables can
-   be decomposed into planning / trie building / WCOJ / BLAS time. *)
+   be decomposed into planning / trie building / WCOJ / BLAS time. Every
+   record carries [gc.minor_words]: the minor words one run of the cell
+   allocates on the calling domain (work handed to pool domains, as in
+   cells at --domains > 1, is not counted; 0 for a cell that ran
+   nothing). *)
 
 module Json = Lh_obs.Json
 
@@ -111,7 +128,8 @@ let json_out : string option ref = ref None
 let current_experiment = ref ""
 let json_records : Json.t list ref = ref []
 
-let record_cell ?domains ?seq_report ?(samples = []) ?(extra = []) ~system ~sql ~outcome report =
+let record_cell ?domains ?seq_report ?(samples = []) ?(extra = []) ~minor_words ~system ~sql
+    ~outcome report =
   if !json_out <> None then begin
     let open Lh_obs in
     let base =
@@ -120,6 +138,7 @@ let record_cell ?domains ?seq_report ?(samples = []) ?(extra = []) ~system ~sql 
         ("system", Json.String system);
         ("sql", Json.String sql);
         ("outcome", Json.String (outcome_to_string outcome));
+        ("gc.minor_words", Json.Float minor_words);
       ]
     in
     let domains_field =
@@ -202,14 +221,14 @@ let instrumented_rerun f =
    [sequential] is given (the same cell pinned to domains=1), it too runs
    instrumented so the record carries speedup columns. *)
 let measured ?budget ~runs ?domains ?sequential ~system ~sql f =
-  let outcome, samples = measure_samples ?budget ~runs f in
+  let outcome, samples, minor_words = measure_samples ?budget ~runs f in
   let report = match outcome with Time _ -> instrumented_rerun f | _ -> None in
   let seq_report =
     match (report, sequential) with
     | Some _, Some fseq -> instrumented_rerun fseq
     | _ -> None
   in
-  record_cell ?domains ?seq_report ~samples ~system ~sql ~outcome report;
+  record_cell ?domains ?seq_report ~samples ~minor_words ~system ~sql ~outcome report;
   outcome
 
 (* Run [sql] on [system] against the master engine. Engine configs are
@@ -264,7 +283,7 @@ let run_system eng params system sql =
   in
   match once with
   | None ->
-      record_cell ~system:(system_name system) ~sql ~outcome:Unsupported None;
+      record_cell ~minor_words:0.0 ~system:(system_name system) ~sql ~outcome:Unsupported None;
       Unsupported
   | Some f ->
       measured ~runs:params.runs ?domains ?sequential ~system:(system_name system) ~sql f

@@ -65,7 +65,7 @@ let ingest_cell (label, sync) =
       let svc = Serve.create ~config:cfg ~store ~checkpoint_every:0 eng in
       let lats = Array.make ingest_batches 0.0 in
       let errors = ref 0 in
-      let t0 = Timing.monotonic_now () in
+      let w0 = Gc.minor_words () and t0 = Timing.monotonic_now () in
       for g = 0 to ingest_batches - 1 do
         let s = Timing.monotonic_now () in
         (match Serve.ingest_rows svc ~name:(batch_name g) ~schema (batch_rows g) with
@@ -74,6 +74,7 @@ let ingest_cell (label, sync) =
         lats.(g) <- Timing.monotonic_now () -. s
       done;
       let wall = Timing.monotonic_now () -. t0 in
+      let minor_words = (Gc.minor_words () -. w0) /. float_of_int ingest_batches in
       let wal_bytes = file_size (Store.wal_path store) in
       Serve.close svc;
       let per_sec = float_of_int ingest_batches /. wall in
@@ -85,7 +86,7 @@ let ingest_cell (label, sync) =
           Printf.sprintf "%.0f/s" per_sec;
           Printf.sprintf "%dKB wal/%de" (wal_bytes / 1024) !errors;
         ];
-      C.record_cell
+      C.record_cell ~minor_words
         ~system:(Printf.sprintf "durable@%s" label)
         ~sql:"ingest: fixed batch stream through the WAL-backed service"
         ~outcome:(C.Time wall) ~samples:(Array.to_list lats)
@@ -121,7 +122,9 @@ let recovery_cell params n =
         Store.close store;
         wall
       in
+      let w0 = Gc.minor_words () in
       let samples = List.init (max 1 params.C.runs) (fun _ -> recover ()) in
+      let minor_words = (Gc.minor_words () -. w0) /. float_of_int (List.length samples) in
       let best = List.fold_left min infinity samples in
       let per_sec = float_of_int n /. best in
       C.print_row
@@ -132,7 +135,7 @@ let recovery_cell params n =
           Printf.sprintf "%.0f/s" per_sec;
           Printf.sprintf "seq %d" !recovered_seq;
         ];
-      C.record_cell
+      C.record_cell ~minor_words
         ~system:(Printf.sprintf "recover@%d" n)
         ~sql:"recover: open_dir + full WAL suffix replay into a fresh engine"
         ~outcome:(C.Time best) ~samples

@@ -46,10 +46,11 @@ let build params =
   L.Engine.register eng vt;
   (eng, sf)
 
+(* Seconds and minor words of one run of [f]. *)
 let timed f =
-  let t0 = Timing.monotonic_now () in
+  let w0 = Gc.minor_words () and t0 = Timing.monotonic_now () in
   f ();
-  Timing.monotonic_now () -. t0
+  (Timing.monotonic_now () -. t0, Gc.minor_words () -. w0)
 
 let run params =
   C.print_header "Epochs — first query after an unrelated ingest, and the ingest"
@@ -106,10 +107,13 @@ let run params =
     ]
   in
   List.iter
-    (fun (system, sql, xs) ->
-      let med = median xs in
+    (fun (system, sql, runs) ->
+      let xs = List.map fst runs and med = median (List.map fst runs) in
+      let minor_words =
+        List.fold_left (fun acc (_, w) -> acc +. w) 0.0 runs /. float_of_int (List.length runs)
+      in
       C.print_row system [ Timing.duration_to_string med; string_of_int (List.length xs) ];
-      C.record_cell ~system ~sql ~outcome:(C.Time med) ~samples:xs
+      C.record_cell ~minor_words ~system ~sql ~outcome:(C.Time med) ~samples:xs
         ~extra:[ ("sf", Lh_obs.Json.Float sf) ]
         None)
     cells

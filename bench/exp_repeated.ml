@@ -87,7 +87,8 @@ let run params =
       List.iter
         (fun (system, outcome) ->
           let f = List.assoc system arms in
-          C.record_cell ~system ~sql:sh_sql ~outcome (C.instrumented_rerun f))
+          C.record_cell ~minor_words:(C.words_of f) ~system ~sql:sh_sql ~outcome
+            (C.instrumented_rerun f))
         outcomes;
       let o_cold = List.assoc "cold-plan" outcomes in
       let o_warm = List.assoc "warm-cache" outcomes in

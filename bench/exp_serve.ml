@@ -75,7 +75,7 @@ let run params =
       let errors = Atomic.make 0 in
       let client d =
         let s = Serve.open_session svc in
-        let lat = Array.make rounds_per_client 0.0 in
+        let lat = Array.make rounds_per_client 0.0 and w0 = Gc.minor_words () in
         for i = 0 to rounds_per_client - 1 do
           let sql = workload.((d + i) mod Array.length workload) in
           let t0 = Timing.monotonic_now () in
@@ -86,7 +86,7 @@ let run params =
           Atomic.incr completed
         done;
         Serve.close_session s;
-        lat
+        (lat, Gc.minor_words () -. w0)
       in
       let t0 = Timing.monotonic_now () in
       let doms = List.init clients (fun d -> Domain.spawn (fun () -> client d)) in
@@ -101,8 +101,11 @@ let run params =
         | Error e ->
             Printf.eprintf "concurrency ingest failed: %s\n%!" (Serve.error_to_string e)
       done;
-      let lats = List.concat_map (fun d -> Array.to_list (Domain.join d)) doms in
+      let runs = List.map Domain.join doms in
       let wall = Timing.monotonic_now () -. t0 in
+      let lats = List.concat_map (fun (lat, _) -> Array.to_list lat) runs in
+      (* Each client counts the words its own domain allocated. *)
+      let minor_words = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 runs /. float_of_int total in
       Serve.close svc;
       let sorted = Array.of_list lats in
       Array.sort Float.compare sorted;
@@ -118,7 +121,7 @@ let run params =
           Timing.duration_to_string p99;
           string_of_int (Atomic.get errors);
         ];
-      C.record_cell
+      C.record_cell ~minor_words
         ~system:(Printf.sprintf "serve@%d" clients)
         ~sql:"mixed: q1 + q3 + spmv through the epoch-pinned service"
         ~outcome:(C.Time wall) ~samples:lats

@@ -530,12 +530,37 @@ let smoke params =
           ls);
     !problems
   in
+  (* --json cells: a measured LevelHeaded cell and an unsupported MKL-like
+     one, recorded as --json records them; each must carry gc.minor_words,
+     positive for the cell that ran a query. *)
+  let bad_cells =
+    let saved = !C.json_out in
+    C.json_out := Some "(smoke)";
+    let cell system = ignore (C.run_system eng { params with C.runs = 1 } system Queries.q6) in
+    cell C.Lh;
+    cell C.Mkl_like;
+    C.json_out := saved;
+    let cells = match C.records_json () with Lh_obs.Json.List l -> l | _ -> [] in
+    List.filter_map
+      (fun j ->
+        let str k = match Lh_obs.Json.member k j with Some (Lh_obs.Json.String s) -> s | _ -> "?" in
+        match (Option.bind (Lh_obs.Json.member "gc.minor_words" j) Lh_obs.Json.to_float, str "system") with
+        | Some w, "LevelHeaded" when w > 0.0 -> None
+        | Some _, "MKL-like" -> None
+        | w, sys ->
+            Some
+              (Printf.sprintf "--json cell %s: gc.minor_words %s" sys
+                 (match w with Some w -> Printf.sprintf "%g" w | None -> "missing")))
+      cells
+    @ if List.length cells = 2 then [] else [ "--json: expected 2 smoke cells" ]
+  in
   (* A single bad-coverage report on these sub-millisecond runs is a
      one-off OS/GC stall, not an instrumentation gap — a missing span
      would degrade every query report. Warn on one, fail on two. *)
   let coverage_failures = if List.length bad_coverage >= 2 then bad_coverage else [] in
   if missing = [] && zero = [] && coverage_failures = [] && bad_parallel = [] && bad_plancache = []
      && bad_count_only = [] && bad_profile = [] && !bad_serve = [] && !bad_durable = []
+     && bad_cells = []
   then begin
     List.iter
       (fun msg -> Printf.printf "smoke warn: %s (single stall tolerated)\n" msg)
@@ -554,6 +579,7 @@ let smoke params =
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) bad_profile;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) !bad_serve;
     List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) !bad_durable;
+    List.iter (fun msg -> Printf.eprintf "smoke FAIL: %s\n" msg) bad_cells;
     1
   end
 

@@ -164,21 +164,21 @@ LH_PLAN_CACHE=0 dune exec bin/lhfuzz.exe -- --inject-fault --seed 42 --attempts 
 # stays reachable at the floor.
 dune exec bin/lhfuzz.exe -- --kill-restart --seed 42 --quiet
 LH_KILL_COUNT=4 dune exec bin/lhfuzz.exe -- --kill-restart --seed 42 --quiet
-# Bench-baseline regression gate (see BENCH_25.json / EXPERIMENTS.md).
+# Bench-baseline regression gate (see BENCH_27.json / EXPERIMENTS.md).
 # Deterministic legs first: the baseline must compare clean against
 # itself, and the gate must actually fire on a synthetic 3x slowdown.
-dune exec bench/main.exe -- --compare BENCH_25.json --compare-with BENCH_25.json
-if dune exec bench/main.exe -- --compare BENCH_25.json --compare-with BENCH_25.json --compare-slowdown 3 > /dev/null; then
+dune exec bench/main.exe -- --compare BENCH_27.json --compare-with BENCH_27.json
+if dune exec bench/main.exe -- --compare BENCH_27.json --compare-with BENCH_27.json --compare-slowdown 3 > /dev/null; then
   echo "ci FAIL: --compare accepted a 3x slowdown" >&2
   exit 1
 fi
 # EXPERIMENTS.md's Table II BI and LA subsections are generated from the
 # baseline's cells; fail if the committed text drifted from them.
 for block in table2-bi table2-la; do
-  bench_report=$(dune exec bench/main.exe -- "$block" --report BENCH_25.json)
-  bench_doc=$(sed -n "/^<!-- generated: bench $block --report BENCH_25.json -->\$/,/^<!-- end generated -->\$/p" EXPERIMENTS.md | sed '1d;$d')
+  bench_report=$(dune exec bench/main.exe -- "$block" --report BENCH_27.json)
+  bench_doc=$(sed -n "/^<!-- generated: bench $block --report BENCH_27.json -->\$/,/^<!-- end generated -->\$/p" EXPERIMENTS.md | sed '1d;$d')
   if [ "$bench_report" != "$bench_doc" ]; then
-    echo "ci FAIL: EXPERIMENTS.md $block subsection differs from bench $block --report BENCH_25.json" >&2
+    echo "ci FAIL: EXPERIMENTS.md $block subsection differs from bench $block --report BENCH_27.json" >&2
     exit 1
   fi
 done
@@ -188,9 +188,9 @@ done
 # machine and compare. Warn-only — shared CI runners are too noisy for a
 # hard wall-clock gate; the comparison text still lands in the CI log.
 if dune exec bench/main.exe -- table2-bi table2-la fig5a fig5c fig6 table4 repeated concurrency layouts graph durability epochs --sf 0.01 --runs 3 \
-     --json /tmp/lh_bench_ci.json --compare BENCH_25.json > /tmp/lh_bench_ci.log 2>&1; then
+     --json /tmp/lh_bench_ci.json --compare BENCH_27.json > /tmp/lh_bench_ci.log 2>&1; then
   tail -n 1 /tmp/lh_bench_ci.log
 else
-  echo "ci warn: bench regressed vs BENCH_25.json (soft gate):" >&2
+  echo "ci warn: bench regressed vs BENCH_27.json (soft gate):" >&2
   grep -E '^(REGRESSION|baseline compare)' /tmp/lh_bench_ci.log >&2 || tail -n 20 /tmp/lh_bench_ci.log >&2
 fi

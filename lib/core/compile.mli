@@ -1,33 +1,58 @@
-(** Compilation of single-relation expressions and predicates to closures
-    over a table's column buffers.
+(** Compilation of single-relation expressions and predicates to batch
+    kernels over a table's column buffers.
 
     Column references are resolved by the caller-supplied [resolve]
-    function (the translator knows which alias binds to which table); the
-    compiled closures then read the column arrays directly, so evaluation
-    per row performs no name lookups or dispatch on dtype. *)
+    function (the translator knows which alias binds to which table). A
+    kernel runs over a selection vector: [sel.(0..n-1)] holds distinct row
+    ids of the table, with [n <= ]{!chunk}. It evaluates node by node,
+    column at a time, into buffers it allocated when it was compiled, so a
+    call allocates nothing per row and performs no name lookup or dtype
+    dispatch. A compiled kernel serves one domain at a time. *)
 
 exception Unsupported of string
 
+val chunk : int
+(** The largest selection a kernel takes (1024). *)
+
 val scalar :
-  Lh_storage.Table.t -> resolve:(Lh_sql.Ast.col_ref -> int) -> Lh_sql.Ast.expr -> int -> float
-(** Numeric evaluator (row -> float). Dates evaluate to their day code.
-    Raises {!Unsupported} at compile time on string-typed subexpressions in
-    numeric position. *)
+  Lh_storage.Table.t ->
+  resolve:(Lh_sql.Ast.col_ref -> int) ->
+  Lh_sql.Ast.expr ->
+  float array ->
+  int array ->
+  int ->
+  unit
+(** [scalar tbl ~resolve e out] compiles numeric expression [e]; applied
+    to [sel n] it sets [out.(p)] to [e]'s value at row [sel.(p)] for
+    [p < n]. Dates evaluate to their day code; [CASE WHEN] evaluates both
+    branches. Raises {!Unsupported} at compile time on string-typed
+    subexpressions in numeric position. *)
 
 val code :
-  Lh_storage.Table.t -> resolve:(Lh_sql.Ast.col_ref -> int) -> Lh_sql.Ast.expr -> int -> int
-(** Int-code evaluator for GROUP BY expressions: a plain int/date/string
-    column yields its stored code; [EXTRACT(YEAR ...)] yields the year. *)
+  Lh_storage.Table.t ->
+  resolve:(Lh_sql.Ast.col_ref -> int) ->
+  Lh_sql.Ast.expr ->
+  int array ->
+  int array ->
+  int ->
+  unit
+(** [code tbl ~resolve e out]: the int-code kernel of a GROUP BY
+    expression, writing like {!scalar}. A plain int/date/string column
+    yields its stored code; [EXTRACT(YEAR ...)] yields the year. *)
 
 val code_dtype :
   Lh_storage.Table.t -> resolve:(Lh_sql.Ast.col_ref -> int) -> Lh_sql.Ast.expr -> Lh_storage.Dtype.t
 (** The dtype the codes of {!code} decode as. *)
 
-val pred :
-  Lh_storage.Table.t -> resolve:(Lh_sql.Ast.col_ref -> int) -> Lh_sql.Ast.pred -> int -> bool
-(** Row predicate. String columns support [=], [<>], [LIKE] and
-    [NOT LIKE]; order comparisons on strings raise {!Unsupported} (the
-    shared dictionary is not order-preserving). *)
+val filter :
+  Lh_storage.Table.t -> resolve:(Lh_sql.Ast.col_ref -> int) -> Lh_sql.Ast.pred -> int array -> int -> int
+(** [filter tbl ~resolve p] compiles predicate [p]; applied to [sel n] it
+    moves the rows of [sel.(0..n-1)] that satisfy [p] to the front of
+    [sel], in order, and returns how many there are. String columns
+    support [=] and [<>] (on dictionary codes; a literal absent from the
+    dictionary matches no row), [LIKE] and [NOT LIKE] (decided once per
+    distinct code); order comparisons on strings raise {!Unsupported}
+    (the shared dictionary is not order-preserving). *)
 
 val const_value : Lh_sql.Ast.expr -> Lh_storage.Dtype.value option
 (** Evaluates a column-free expression to a constant, if it is one. *)

@@ -147,21 +147,27 @@ let table_resolver alias (table : T.t) (c : Ast.col_ref) =
   | _ -> ());
   Schema.find_exn table.T.schema c.Ast.column
 
-let filtered_rows (edge : Logical.edge) =
-  let n = edge.Logical.table.T.nrows in
-  match edge.Logical.filter with
-  | None -> Array.init n Fun.id
-  | Some p ->
-      let keep =
-        Compile.pred edge.Logical.table
-          ~resolve:(table_resolver edge.Logical.alias edge.Logical.table)
-          p
-      in
-      let out = Vec.Int.create ~capacity:256 () in
-      for r = 0 to n - 1 do
-        if keep r then Vec.Int.push out r
-      done;
-      Vec.Int.to_array out
+(* Runs [f sel n] over the rows of [edge]'s table that pass its filter, a
+   chunk of at most [Compile.chunk] table rows at a time: [sel.(0..n-1)]
+   holds the chunk's kept rows, ascending; a chunk that keeps none is
+   skipped. *)
+let each_chunk (edge : Logical.edge) f =
+  let table = edge.Logical.table in
+  let keep =
+    match edge.Logical.filter with
+    | None -> fun _ m -> m
+    | Some p -> Compile.filter table ~resolve:(table_resolver edge.Logical.alias table) p
+  in
+  let sel = Array.make Compile.chunk 0 and lo = ref 0 in
+  while !lo < table.T.nrows do
+    let m = min Compile.chunk (table.T.nrows - !lo) in
+    for p = 0 to m - 1 do
+      sel.(p) <- !lo + p
+    done;
+    let n = keep sel m in
+    if n > 0 then f sel n;
+    lo := !lo + m
+  done
 
 let alias_gitems (lq : Logical.t) alias =
   Array.to_list lq.Logical.group_by
@@ -189,28 +195,53 @@ let build_base_xrel ~domains (lq : Logical.t) ~order (edge : Logical.edge) =
     Obs.span "trie.build" ~args:[ ("table", table.T.name) ]
       ~record:(Lh_obs.Hist.observe_always h_trie_build)
     @@ fun () ->
-    let rows = filtered_rows edge in
     let keys =
       Array.of_list
         (List.map (fun v -> T.icol table (List.assoc v edge.Logical.vertex_cols)) levels_v)
     in
-    (* Codes are read only at kept rows, so only those are evaluated. *)
+    (* One pass over the kept rows collects them and evaluates their
+       annotation columns, indexed by row id (the trie reads no other
+       row): each [fills] entry runs one kernel over a chunk and scatters
+       its buffer into its column. *)
+    let fills = ref [] in
     let group_cols =
       Array.of_list
         (List.map
            (fun (_, expr) ->
-             let f = Compile.code table ~resolve expr in
-             let col = Array.make table.T.nrows 0 in
-             Array.iter (fun r -> col.(r) <- f r) rows;
+             let col = Array.make table.T.nrows 0 and buf = Array.make Compile.chunk 0 in
+             let k = Compile.code table ~resolve expr buf in
+             let fill sel n =
+               k sel n;
+               for p = 0 to n - 1 do
+                 col.(sel.(p)) <- buf.(p)
+               done
+             in
+             fills := fill :: !fills;
              col)
            gitems)
     in
     let aggs =
       Array.of_list
         (List.map
-           (fun (_, (sr : Semiring.t), e) -> (sr.Semiring.add, Compile.scalar table ~resolve e))
+           (fun (_, (sr : Semiring.t), e) ->
+             let col = Array.create_float table.T.nrows and buf = Array.create_float Compile.chunk in
+             let k = Compile.scalar table ~resolve e buf in
+             let fill sel n =
+               k sel n;
+               for p = 0 to n - 1 do
+                 col.(sel.(p)) <- buf.(p)
+               done
+             in
+             fills := fill :: !fills;
+             (sr.Semiring.add, col))
            owned)
     in
+    let kept = Array.make table.T.nrows 0 and nkept = ref 0 in
+    each_chunk edge (fun sel n ->
+        Array.blit sel 0 kept !nkept n;
+        nkept := !nkept + n;
+        List.iter (fun fill -> fill sel n) !fills);
+    let rows = Array.sub kept 0 !nkept in
     Trie.build ~domains ~keys ~rows ~group_cols ~aggs ()
   in
   (* One extra entry for the pseudo-multiplicity slot child nodes compute:
@@ -861,11 +892,13 @@ let rec exec_child cfg (lq : Logical.t) (node : pnode) ~parent_order =
   let group_cols =
     Array.init ncodes (fun c -> Array.init nrows (fun r -> rows_arr.(r).gcodes.(nkeys + c)))
   in
-  let aggs =
-    Array.init nslots (fun j ->
-        (lq.Logical.slots.(j).Logical.sr.Semiring.add, fun r -> rows_arr.(r).slots.(j)))
+  let slot_col j =
+    let col = Array.create_float nrows in
+    Array.iteri (fun r row -> col.(r) <- row.slots.(j)) rows_arr;
+    col
   in
-  let mults r = rows_arr.(r).slots.(nslots) in
+  let aggs = Array.init nslots (fun j -> (lq.Logical.slots.(j).Logical.sr.Semiring.add, slot_col j)) in
+  let mults = slot_col nslots in
   let xtrie =
     if nkeys = 0 then invalid_arg "Executor: child node with empty interface"
     else begin
@@ -1002,6 +1035,17 @@ let run cfg lq root =
 (* ------------------------------------------------------------------ *)
 (* Scan path: no vertices (e.g. TPC-H Q1 and Q6)                        *)
 
+module Codes_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b = a = b
+  let hash = Hashtbl.hash
+end)
+
+(* Bits needed for values in [0, v]; [v] is negative when a range
+   overflowed. *)
+let rec width v = if v < 0 then Sys.int_size else if v = 0 then 0 else 1 + width (v lsr 1)
+
 let run_scan cfg (lq : Logical.t) =
   (match Array.length lq.Logical.edges with
   | 1 -> ()
@@ -1009,57 +1053,137 @@ let run_scan cfg (lq : Logical.t) =
   let edge = lq.Logical.edges.(0) in
   let table = edge.Logical.table in
   let resolve = table_resolver edge.Logical.alias table in
-  let rows = filtered_rows edge in
-  Obs.add c_scan_rows (Array.length rows);
   let gitems = alias_gitems lq edge.Logical.alias in
   (* Every gitem must belong to this relation (there is only one). *)
   if List.length gitems <> Array.length lq.Logical.group_by then
     failwith "Executor.run_scan: GROUP BY key on a scan query";
-  let code_fns = List.map (fun (_, e) -> Compile.code table ~resolve e) gitems in
+  let ng = List.length gitems in
+  let codes = Array.init ng (fun _ -> Array.make Compile.chunk 0) in
+  let code_fns =
+    Array.of_list (List.mapi (fun g (_, e) -> Compile.code table ~resolve e codes.(g)) gitems)
+  in
   let nslots = Array.length lq.Logical.slots in
+  let srs = Array.map (fun (s : Logical.slot) -> s.Logical.sr) lq.Logical.slots in
+  let coeffs = Array.map (fun (s : Logical.slot) -> s.Logical.coeff) lq.Logical.slots in
+  let vals = Array.init nslots (fun _ -> Array.create_float Compile.chunk) in
   let slot_fns =
-    Array.map
-      (fun (s : Logical.slot) ->
+    Array.mapi
+      (fun j (s : Logical.slot) ->
         match s.Logical.owners with
         | [] -> None
-        | [ (_, e) ] -> Some (Compile.scalar table ~resolve e)
+        | [ (_, e) ] -> Some (Compile.scalar table ~resolve e vals.(j))
         | _ -> failwith "Executor.run_scan: multi-relation slot on a scan query")
       lq.Logical.slots
   in
-  let srs = Array.map (fun (s : Logical.slot) -> s.Logical.sr) lq.Logical.slots in
-  let coeffs = Array.map (fun (s : Logical.slot) -> s.Logical.coeff) lq.Logical.slots in
+  (* Per group: its codes (newest first) and, per slot, its accumulator. *)
+  let group_codes = ref [] and ngroups = ref 0 and capacity = ref 64 in
   let zeros = Array.map (fun sr -> sr.Semiring.zero) srs in
-  let budget = cfg.Config.budget in
-  let acc : (int array, float array) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i r ->
+  let accs = Array.map (fun z -> Array.make !capacity z) zeros in
+  let new_group key =
+    let id = !ngroups in
+    if id = !capacity then begin
+      capacity := 2 * id;
+      Array.iteri
+        (fun j a ->
+          let b = Array.make (2 * id) zeros.(j) in
+          Array.blit a 0 b 0 id;
+          accs.(j) <- b)
+        accs
+    end;
+    group_codes := key :: !group_codes;
+    incr ngroups;
+    id
+  in
+  (* Group ids. The first chunk fixes each item's range [lo, lo + 2^bits);
+     when the ranges pack into [direct_bits], a row whose codes all fall in
+     them finds its id in [direct] under one packed int. Other rows hash
+     their codes (through [scratch]). A code tuple always takes the same
+     one of the two, so each group has one id. *)
+  let direct_bits = 16 and lo = Array.make ng 0 and bits = Array.make ng 0 in
+  let direct = ref [||] and hashed = Codes_tbl.create 64 and scratch = Array.make ng 0 in
+  let fix_ranges n =
+    for g = 0 to ng - 1 do
+      let c = Array.sub codes.(g) 0 n in
+      lo.(g) <- Array.fold_left Int.min max_int c;
+      bits.(g) <- width (Array.fold_left Int.max min_int c - lo.(g))
+    done;
+    let nbits = Array.fold_left ( + ) 0 bits in
+    if nbits <= direct_bits then direct := Array.make (1 lsl nbits) (-1)
+  in
+  (* The packed key of chunk position [p], or -1 when a code is out of range. *)
+  let packed p =
+    let key = ref 0 in
+    for g = 0 to ng - 1 do
+      let c = codes.(g).(p) - lo.(g) in
+      key := if !key < 0 || c < 0 || c lsr bits.(g) <> 0 then -1 else (!key lsl bits.(g)) lor c
+    done;
+    !key
+  in
+  let group_id p =
+    let d = !direct in
+    let key = if Array.length d = 0 then -1 else packed p in
+    if key >= 0 then begin
+      if d.(key) < 0 then d.(key) <- new_group (Array.init ng (fun g -> codes.(g).(p)));
+      d.(key)
+    end
+    else begin
+      for g = 0 to ng - 1 do
+        scratch.(g) <- codes.(g).(p)
+      done;
+      match Codes_tbl.find hashed scratch with
+      | id -> id
+      | exception Not_found ->
+          let key = Array.copy scratch in
+          let id = new_group key in
+          Codes_tbl.replace hashed key id;
+          id
+    end
+  in
+  let ids = Array.make Compile.chunk 0 and sums = Array.map Semiring.is_sum_product srs in
+  let budget = cfg.Config.budget and kept = ref 0 in
+  each_chunk edge (fun sel n ->
       Lh_fault.Fault.hit fault_scan;
-      if i land 4095 = 0 then begin
+      (* One budget check per 4096 kept rows, at rows 0, 4096, ... *)
+      if (!kept - 1) asr 12 <> (!kept + n - 1) asr 12 then begin
         Obs.incr c_budget_ticks;
         Lh_util.Budget.check budget
       end;
-      let key = Array.of_list (List.map (fun f -> f r) code_fns) in
-      let dest =
-        match Hashtbl.find_opt acc key with
-        | Some d -> d
-        | None ->
-            let d = Array.copy zeros in
-            Hashtbl.replace acc key d;
-            d
-      in
+      kept := !kept + n;
+      Array.iter (fun f -> f sel n) code_fns;
+      if !ngroups = 0 then fix_ranges n;
+      for p = 0 to n - 1 do
+        ids.(p) <- group_id p
+      done;
+      (* Each slot folds its rows in row order: acc ⊕ (coeff ⊗ value), or
+         acc ⊕ coeff for a slot no relation owns. *)
       for j = 0 to nslots - 1 do
-        let v =
-          match slot_fns.(j) with
-          | Some f -> srs.(j).Semiring.mul coeffs.(j) (f r)
-          | None -> coeffs.(j)
-        in
-        dest.(j) <- srs.(j).Semiring.add dest.(j) v
-      done)
-    rows;
-  if Array.length lq.Logical.group_by = 0 && Hashtbl.length acc = 0 then
-    [ { gcodes = [||]; slots = Array.copy zeros } ]
+        let v = vals.(j) and a = accs.(j) and c = coeffs.(j) and sr = srs.(j) in
+        (match slot_fns.(j) with
+        | None -> Array.fill v 0 n c
+        | Some f ->
+            f sel n;
+            if sums.(j) then
+              for p = 0 to n - 1 do
+                v.(p) <- c *. v.(p)
+              done
+            else
+              for p = 0 to n - 1 do
+                v.(p) <- sr.Semiring.mul c v.(p)
+              done);
+        if sums.(j) then
+          for p = 0 to n - 1 do
+            a.(ids.(p)) <- a.(ids.(p)) +. v.(p)
+          done
+        else
+          for p = 0 to n - 1 do
+            a.(ids.(p)) <- sr.Semiring.add a.(ids.(p)) v.(p)
+          done
+      done);
+  Obs.add c_scan_rows !kept;
+  if ng = 0 && !ngroups = 0 then [ { gcodes = [||]; slots = Array.copy zeros } ]
   else
-    Hashtbl.fold (fun k v l -> { gcodes = k; slots = v } :: l) acc []
+    List.rev !group_codes
+    |> List.mapi (fun g gcodes -> { gcodes; slots = Array.map (fun a -> a.(g)) accs })
     |> List.sort (fun a b -> compare a.gcodes b.gcodes)
 
 let pp_plan (lq : Logical.t) fmt root =

@@ -94,9 +94,11 @@ let sort_rows keys rows =
 (* What a leaf segment's rows contribute; see [build]. *)
 type leaf_spec = {
   group_cols : int array array;
-  aggs : ((float -> float -> float) * (int -> float)) array;
-  mults : int -> float;
+  aggs : ((float -> float -> float) * float array) array;
+  mults : float array option;
 }
+
+let mult_of spec r = match spec.mults with None -> 1.0 | Some m -> m.(r)
 
 (* The groups array of every leaf with no aggregates, no GROUP BY codes and
    total multiplicity 1. Groups are immutable, so all such leaves share it,
@@ -109,15 +111,15 @@ let eval_vec spec r =
   else begin
     let v = Array.make n 0.0 in
     for j = 0 to n - 1 do
-      v.(j) <- (snd spec.aggs.(j)) r
+      v.(j) <- (snd spec.aggs.(j)).(r)
     done;
     v
   end
 
 let fold_into spec vec r =
   for j = 0 to Array.length spec.aggs - 1 do
-    let comb, f = spec.aggs.(j) in
-    vec.(j) <- comb vec.(j) (f r)
+    let comb, col = spec.aggs.(j) in
+    vec.(j) <- comb vec.(j) col.(r)
   done
 
 let codes_of spec r =
@@ -163,11 +165,11 @@ let make_groups spec rows lo hi =
   done;
   if !i >= hi then begin
     let vec = eval_vec spec r0 in
-    let mult = ref (spec.mults r0) in
+    let mult = ref (mult_of spec r0) in
     for i = lo + 1 to hi - 1 do
       let r = rows.(i) in
       fold_into spec vec r;
-      mult := !mult +. spec.mults r
+      mult := !mult +. mult_of spec r
     done;
     let codes = codes_of spec r0 in
     if Array.length codes = 0 && Array.length vec = 0 && !mult = 1.0 then unit_leaf
@@ -182,9 +184,9 @@ let make_groups spec rows lo hi =
       match Codes_tbl.find_opt table codes with
       | Some a ->
           fold_into spec a.avec r;
-          a.amult <- a.amult +. spec.mults r
+          a.amult <- a.amult +. mult_of spec r
       | None ->
-          let a = { acodes = codes; avec = eval_vec spec r; amult = spec.mults r } in
+          let a = { acodes = codes; avec = eval_vec spec r; amult = mult_of spec r } in
           Codes_tbl.replace table codes a;
           order := a :: !order
     done;
@@ -213,7 +215,7 @@ type bstats = {
   nsets : int array;
 }
 
-let build ?(domains = 1) ~keys ~rows ?(group_cols = [||]) ?(aggs = [||]) ?(mults = fun _ -> 1.0) () =
+let build ?(domains = 1) ~keys ~rows ?(group_cols = [||]) ?(aggs = [||]) ?mults () =
   let nlevels = Array.length keys in
   if nlevels = 0 then invalid_arg "Trie.build: at least one key level required";
   let rows = sort_rows keys rows in

@@ -48,17 +48,20 @@ val build :
   keys:int array array ->
   rows:int array ->
   ?group_cols:int array array ->
-  ?aggs:((float -> float -> float) * (int -> float)) array ->
-  ?mults:(int -> float) ->
+  ?aggs:((float -> float -> float) * float array) array ->
+  ?mults:float array ->
   unit ->
   t
 (** [build ~keys ~rows ()] sorts [rows] by the key tuple
     [(keys.(0).(r), keys.(1).(r), ...)] and constructs the trie.
     [group_cols.(g).(r)] supplies GROUP BY annotation codes; [aggs.(j)] is
-    the ⊕ combine function (the owning slot's semiring [add]) and per-row
-    evaluator of owned aggregate slot [j] — pre-⊕-folding duplicate key
-    tuples here is valid for any semiring by distributivity; [mults]
-    gives each row's multiplicity (default 1.0, i.e. [mult] counts rows).
+    the ⊕ combine function (the owning slot's semiring [add]) and the
+    per-row values of owned aggregate slot [j], indexed like
+    [group_cols] by row id — pre-⊕-folding duplicate key tuples here is
+    valid for any semiring by distributivity; [mults.(r)] is row [r]'s
+    multiplicity (default 1.0, i.e. [mult] counts rows). The caller
+    evaluates these columns before the build, so the build runs no
+    expression code.
     At least one key level is required.
 
     Rows are ordered by a stable radix sort over the key codes, which must
@@ -70,9 +73,7 @@ val build :
     built in parallel on the shared {!Lh_util.Pool}. Each subtree is the
     same computation the sequential recursion performs over the same row
     segment, so the resulting trie is bit-identical for every [domains]
-    value (the [aggs] / [mults] evaluators must therefore be safe to call
-    from several domains on disjoint rows — the column-reading closures the
-    engine passes are). *)
+    value. *)
 
 val first_level : t -> Lh_set.Set.t
 

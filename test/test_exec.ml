@@ -435,6 +435,52 @@ let qcheck_semiring_joins =
       List.length expect = List.length got
       && List.for_all2 (fun er gr -> List.for_all2 Helpers.value_close er gr) expect got)
 
+(* Allocation pin: the scan path folds from unboxed column buffers, so a
+   warm Q1 allocates at most 8 minor words per scanned lineitem row and a
+   warm Q6 at most 1 (per-row closures took ~130 and ~4.3). Word counts do
+   not depend on the machine, so the bounds are exact. *)
+let test_scan_minor_words () =
+  let e = Lazy.force eng in
+  let rows = (Helpers.lookup_in e "lineitem").Table.nrows in
+  List.iter
+    (fun (name, sql, bound) ->
+      ignore (L.Engine.query e sql);
+      let words =
+        Lh_obs.Obs.with_enabled false (fun () ->
+            let w0 = Gc.minor_words () in
+            ignore (L.Engine.query e sql);
+            Gc.minor_words () -. w0)
+      in
+      let per_row = words /. float_of_int rows in
+      if per_row > bound then
+        Alcotest.failf "%s: %.2f minor words per scanned row (bound %g)" name per_row bound)
+    [ ("Q1", Helpers.q1, 8.0); ("Q6", Helpers.q6, 1.0) ]
+
+(* Scan-path group ids: codes that pack into the first chunk's ranges take
+   the direct table, others are hashed. Comment strings are interned as
+   rows are generated, so later rows' codes leave the first chunk's range
+   (both kinds in one query); three date columns need more than 16 bits
+   (hashed only). *)
+let test_scan_group_ids () =
+  let e = Lazy.force eng in
+  let lookup = Helpers.lookup_in e in
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) "scan path" true ((L.Engine.explain e sql).L.Engine.epath = L.Engine.Scan_path);
+      let expect = List.sort compare (Lh_baseline.Oracle.query ~lookup (Lh_sql.Parser.parse sql)) in
+      let got = List.sort compare (Table.to_rows (L.Engine.query e sql)) in
+      Alcotest.(check int) "groups" (List.length expect) (List.length got);
+      if not (List.for_all2 (fun er gr -> List.for_all2 Helpers.value_close er gr) expect got) then
+        Alcotest.failf "%s: rows differ from the oracle" sql)
+    [
+      "select l_returnflag, l_linestatus, sum(l_quantity) q, count(*) c from lineitem group by \
+       l_returnflag, l_linestatus";
+      "select l_shipmode, l_comment, sum(l_extendedprice) p, count(*) c from lineitem where \
+       l_quantity < 30 group by l_shipmode, l_comment";
+      "select l_shipdate, l_commitdate, l_receiptdate, min(l_discount) d, count(*) c from \
+       lineitem group by l_shipdate, l_commitdate, l_receiptdate";
+    ]
+
 let () =
   Alcotest.run "levelheaded-exec"
     [
@@ -445,6 +491,8 @@ let () =
           Alcotest.test_case "plan path selection" `Quick test_paths;
           Alcotest.test_case "explain fhw" `Quick test_explain_fhw;
           Alcotest.test_case "dense self-join is not a gemv" `Quick test_dense_self_join_not_vector;
+          Alcotest.test_case "scan minor words per row" `Quick test_scan_minor_words;
+          Alcotest.test_case "scan group ids = oracle" `Quick test_scan_group_ids;
         ] );
       ( "edge-cases",
         [

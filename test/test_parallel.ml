@@ -227,7 +227,7 @@ let qcheck_trie_differential =
       let keys1 = [| col (fun (k, _, _, _) -> k) |] in
       let group_cols = [| col (fun (_, _, g, _) -> g) |] in
       let vals = col (fun (_, _, _, v) -> v) in
-      let aggs = [| (( +. ), fun r -> vals.(r)) |] in
+      let aggs = [| (( +. ), vals) |] in
       let rows_idx = Array.init n Fun.id in
       let build ~domains keys =
         Trie.build ~domains ~keys ~rows:rows_idx ~group_cols ~aggs ()

@@ -292,7 +292,9 @@ let qcheck_trie_vs_model =
       let mults r = 1.0 +. (1.0 /. float_of_int (r + 1)) in
       let trie =
         if with_aggs then
-          Trie.build ~keys ~rows ~group_cols ~aggs:(Array.map2 (fun c e -> (c, e)) combs evals) ~mults ()
+          Trie.build ~keys ~rows ~group_cols
+            ~aggs:(Array.map2 (fun c e -> (c, Array.init nrows e)) combs evals)
+            ~mults:(Array.init nrows mults) ()
         else Trie.build ~keys ~rows ~group_cols ()
       in
       (* The model: fold every row, in input order, into its (tuple, codes)
@@ -333,12 +335,7 @@ let test_trie_aggregation () =
   let vals = [| 10.0; 20.0; 30.0; 40.0; 50.0 |] in
   let trie =
     Trie.build ~keys ~rows:[| 0; 1; 2; 3; 4 |]
-      ~aggs:
-        [|
-          (( +. ), fun r -> vals.(r));
-          (Float.min, fun r -> vals.(r));
-          (Float.max, fun r -> vals.(r));
-        |]
+      ~aggs:[| (( +. ), vals); (Float.min, vals); (Float.max, vals) |]
       ()
   in
   let got = ref [] in
@@ -360,7 +357,7 @@ let test_trie_group_codes () =
   let vals = [| 1.0; 2.0; 4.0 |] in
   let trie =
     Trie.build ~keys ~rows:[| 0; 1; 2 |] ~group_cols:codes
-      ~aggs:[| (( +. ), fun r -> vals.(r)) |]
+      ~aggs:[| (( +. ), vals) |]
       ()
   in
   let got = ref [] in
@@ -392,7 +389,7 @@ let test_trie_empty () =
 
 let test_trie_mults_override () =
   let keys = [| [| 1; 1 |] |] in
-  let trie = Trie.build ~keys ~rows:[| 0; 1 |] ~mults:(fun r -> float_of_int (r + 1) *. 2.0) () in
+  let trie = Trie.build ~keys ~rows:[| 0; 1 |] ~mults:[| 2.0; 4.0 |] () in
   Trie.iter_tuples trie (fun _ g -> Alcotest.(check (float 1e-9)) "summed mults" 6.0 g.Trie.mult)
 
 (* Regression: a malformed row aborts the load as a typed
